@@ -1,10 +1,12 @@
 """Nondeterministic push-down recognizers run by exhaustive breadth-first search.
 
-One clause set per algorithm: dotted items (lc), prefix items (plr), set
-items with full or simplified top-down filtering (elr, pseudo_elr), and
-bare prefixes (cp).  A configuration is an item stack plus the count of
-consumed tokens; search explores all distinct configurations breadth-first,
-so accepting traces come out step-minimal.
+The five algorithms differ only in their item kind (see `items`): dotted
+items (lc), prefix items (plr), set items with full or simplified top-down
+filtering (elr, pseudo_elr), and bare prefixes (cp).  One successor
+function applies the four clauses through the kind's primitives.  A
+configuration is an item stack plus the count of consumed tokens; search
+explores all distinct configurations breadth-first, so accepting traces
+come out step-minimal.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .grammar import AugmentedGrammar
-from .items import CPItem, ELRItem, LCItem, PLRItem
+from .items import item_kind
 
 ALGORITHMS = ("lc", "plr", "elr", "pseudo_elr", "cp")
 
 DEFAULT_BUDGET = 1_000_000
-
-_ITEM_KIND = {"lc": LCItem, "plr": PLRItem, "elr": ELRItem, "pseudo_elr": ELRItem, "cp": CPItem}
 
 
 class KindMismatchError(Exception):
@@ -60,187 +60,50 @@ class Trace:
 
 
 def initial_configuration(algo: str, g: AugmentedGrammar) -> Configuration:
-    sp = g.start_prime
-    start_rule = g.rules_dagger[-1]
-    if algo == "lc":
-        return Configuration((LCItem(start_rule, 0),), 0)
-    if algo == "plr":
-        return Configuration((PLRItem(sp, ()),), 0)
-    if algo in ("elr", "pseudo_elr"):
-        return Configuration((ELRItem(frozenset({sp}), ()),), 0)
-    if algo == "cp":
-        return Configuration((CPItem(()),), 0)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return Configuration((item_kind(algo, g).init,), 0)
 
 
 def final_item(algo: str, g: AugmentedGrammar):
-    sp = g.start_prime
-    start = g.base.start
-    start_rule = g.rules_dagger[-1]
-    if algo == "lc":
-        return LCItem(start_rule, 1)
-    if algo == "plr":
-        return PLRItem(sp, (start,))
-    if algo in ("elr", "pseudo_elr"):
-        return ELRItem(frozenset({sp}), (start,))
-    if algo == "cp":
-        return CPItem((start,))
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return item_kind(algo, g).final
 
 
-def _lc_successors(g, toks, cfg):
-    idx = g.idx
+def _successors(kind, toks, cfg):
+    """The four clauses on one configuration, in clause then rule order."""
     stack, pos = cfg.stack, cfg.pos
     top = stack[-1]
-    nxt = top.next_symbol
     out = []
     if pos < len(toks):
         a = toks[pos]
-        if nxt is not None and nxt.is_nonterminal:
-            allowed = idx.lc_star_of[nxt]
-            for r in idx.rules_by_first.get(a, ()):
-                if r.lhs in allowed:
-                    out.append((1, Configuration(stack + (LCItem(r, 1),), pos + 1)))
-        if nxt == a:
-            out.append((2, Configuration(stack[:-1] + (LCItem(top.rule, top.dot + 1),), pos + 1)))
-    if nxt is None and len(stack) >= 2:
-        below = stack[-2]
-        bnxt = below.next_symbol
-        if bnxt is not None and bnxt.is_nonterminal:
-            a_lhs = top.rule.lhs
-            allowed = idx.lc_star_of[bnxt]
-            for r in idx.rules_by_first.get(a_lhs, ()):
-                if r.lhs in allowed:
-                    out.append((3, Configuration(stack[:-1] + (LCItem(r, 1),), pos)))
-            if bnxt == a_lhs:
-                out.append((4, Configuration(stack[:-2] + (LCItem(below.rule, below.dot + 1),), pos)))
-    return out
-
-
-def _expected_nonterminals(idx, alpha, delta=None):
-    """Nonterminals that may follow prefix alpha; restricted to rules whose
-    lhs is in delta when a set is given."""
-    node = idx.node(alpha)
-    if delta is None:
-        return node.cont_nt.keys()
-    return [c for c, lhss in node.cont_nt.items() if lhss & delta]
-
-
-def _plr_successors(g, toks, cfg):
-    idx = g.idx
-    stack, pos = cfg.stack, cfg.pos
-    top = stack[-1]
-    node = idx.node(top.alpha)
-    out = []
-    if pos < len(toks):
-        a = toks[pos]
-        expected = [c for c, lhss in node.cont_nt.items() if top.lhs in lhss]
-        allowed = idx.corners_of_any(expected)
-        seen = set()
-        for r in idx.rules_by_first.get(a, ()):
-            if r.lhs in allowed and r.lhs not in seen:
-                seen.add(r.lhs)
-                out.append((1, Configuration(stack + (PLRItem(r.lhs, (a,)),), pos + 1)))
-        if top.lhs in node.cont.get(a, ()):
-            out.append((2, Configuration(stack[:-1] + (PLRItem(top.lhs, top.alpha + (a,)),), pos + 1)))
-    if len(stack) >= 2 and top.lhs in node.complete:
-        below = stack[-2]
-        bnode = idx.node(below.alpha)
-        expected = [c for c, lhss in bnode.cont_nt.items() if below.lhs in lhss]
-        allowed = idx.corners_of_any(expected)
-        a_lhs = top.lhs
-        seen = set()
-        for r in idx.rules_by_first.get(a_lhs, ()):
-            if r.lhs in allowed and r.lhs not in seen:
-                seen.add(r.lhs)
-                out.append((3, Configuration(stack[:-1] + (PLRItem(r.lhs, (a_lhs,)),), pos)))
-        if below.lhs in bnode.cont.get(a_lhs, ()):
-            out.append((4, Configuration(stack[:-2] + (PLRItem(below.lhs, below.alpha + (a_lhs,)),), pos)))
-    return out
-
-
-def _elr_successors(g, toks, cfg, pseudo: bool):
-    idx = g.idx
-    stack, pos = cfg.stack, cfg.pos
-    top = stack[-1]
-    node = idx.node(top.alpha)
-    out = []
-    if pos < len(toks):
-        a = toks[pos]
-        expected = _expected_nonterminals(idx, top.alpha, None if pseudo else top.delta)
-        allowed = idx.corners_of_any(expected)
-        d1 = idx.first_lhs.get(a, frozenset()) & allowed
-        if d1:
-            out.append((1, Configuration(stack + (ELRItem(d1, (a,)),), pos + 1)))
-        d2 = top.delta & node.cont.get(a, frozenset())
-        if d2:
-            out.append((2, Configuration(stack[:-1] + (ELRItem(d2, top.alpha + (a,)),), pos + 1)))
+        allowed = kind.allowed(top)
+        if allowed:
+            for item in kind.start(a, allowed):
+                out.append((1, Configuration(stack + (item,), pos + 1)))
+        item = kind.advance(top, a)
+        if item is not None:
+            out.append((2, Configuration(stack[:-1] + (item,), pos + 1)))
     if len(stack) >= 2:
-        below = stack[-2]
-        bnode = idx.node(below.alpha)
-        expected = _expected_nonterminals(idx, below.alpha, None if pseudo else below.delta)
-        allowed = idx.corners_of_any(expected)
-        reducible = [a_ for a_ in node.complete_ordered if a_ in top.delta]
-        for a_lhs in reducible:
-            d3 = idx.first_lhs.get(a_lhs, frozenset()) & allowed
-            if d3:
-                out.append((3, Configuration(stack[:-1] + (ELRItem(d3, (a_lhs,)),), pos)))
-        for a_lhs in reducible:
-            d4 = below.delta & bnode.cont.get(a_lhs, frozenset())
-            if d4:
-                out.append((4, Configuration(stack[:-2] + (ELRItem(d4, below.alpha + (a_lhs,)),), pos)))
+        reducible = kind.reducible(top)
+        if reducible:
+            below = stack[-2]
+            allowed = kind.allowed(below)
+            for a_lhs in reducible if allowed else ():
+                for item in kind.start(a_lhs, allowed):
+                    out.append((3, Configuration(stack[:-1] + (item,), pos)))
+            for a_lhs in reducible:
+                item = kind.advance(below, a_lhs)
+                if item is not None:
+                    out.append((4, Configuration(stack[:-2] + (item,), pos)))
     return out
-
-
-def _cp_successors(g, toks, cfg):
-    idx = g.idx
-    stack, pos = cfg.stack, cfg.pos
-    top = stack[-1]
-    node = idx.node(top.alpha)
-    out = []
-    if pos < len(toks):
-        a = toks[pos]
-        allowed = idx.corners_of_any(node.cont_nt.keys())
-        if idx.first_lhs.get(a, frozenset()) & allowed:
-            out.append((1, Configuration(stack + (CPItem((a,)),), pos + 1)))
-        if a in node.cont:
-            out.append((2, Configuration(stack[:-1] + (CPItem(top.alpha + (a,)),), pos + 1)))
-    if len(stack) >= 2:
-        below = stack[-2]
-        bnode = idx.node(below.alpha)
-        allowed = idx.corners_of_any(bnode.cont_nt.keys())
-        for a_lhs in node.complete_ordered:
-            if idx.first_lhs.get(a_lhs, frozenset()) & allowed:
-                out.append((3, Configuration(stack[:-1] + (CPItem((a_lhs,)),), pos)))
-        for a_lhs in node.complete_ordered:
-            if a_lhs in bnode.cont:
-                out.append((4, Configuration(stack[:-2] + (CPItem(below.alpha + (a_lhs,)),), pos)))
-    return out
-
-
-_SUCCESSOR_FNS = {
-    "lc": _lc_successors,
-    "plr": _plr_successors,
-    "elr": lambda g, t, c: _elr_successors(g, t, c, pseudo=False),
-    "pseudo_elr": lambda g, t, c: _elr_successors(g, t, c, pseudo=True),
-    "cp": _cp_successors,
-}
-
-
-def _check_kinds(algo: str, cfg: Configuration):
-    kind = _ITEM_KIND[algo]
-    if not cfg.stack or not all(isinstance(i, kind) for i in cfg.stack):
-        raise KindMismatchError(f"configuration items are not {kind.__name__} (algo {algo!r})")
 
 
 def successors_with_clauses(algo, g, tokens, cfg) -> tuple[tuple[int, Configuration], ...]:
     """One-step successors with the clause that produced each, deduplicated
     in clause order then grammar rule order."""
-    if algo not in _SUCCESSOR_FNS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    _check_kinds(algo, cfg)
+    kind = item_kind(algo, g)
+    if not cfg.stack or not all(isinstance(i, kind.item_type) for i in cfg.stack):
+        raise KindMismatchError(f"configuration items are not {kind.item_type.__name__} (algo {algo!r})")
     toks = g.tokens_to_symbols(tokens)
-    raw = _SUCCESSOR_FNS[algo](g, toks, cfg)
+    raw = _successors(kind, toks, cfg)
     seen = set()
     out = []
     for clause, conf in raw:
@@ -282,9 +145,9 @@ def explore(
     """
     toks = g.tokens_to_symbols(tokens)
     n = len(toks)
-    succ_fn = _SUCCESSOR_FNS[algo]
-    init = initial_configuration(algo, g)
-    fin = Configuration((final_item(algo, g),), n)
+    kind = item_kind(algo, g)
+    init = Configuration((kind.init,), 0)
+    fin = Configuration((kind.final,), n)
     visited = {init}
     parents: dict | None = {init: None} if keep_parents else None
     queue = deque([init])
@@ -296,7 +159,7 @@ def explore(
         if accepted and stop_on_accept:
             break
         cfg = queue.popleft()
-        raw = succ_fn(g, toks, cfg)
+        raw = _successors(kind, toks, cfg)
         distinct = []
         seen_here = set()
         for clause, conf in raw:

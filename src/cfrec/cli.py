@@ -10,7 +10,6 @@ error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass
 
@@ -18,16 +17,13 @@ from . import automata, oracle, tabular
 from .grammar import (
     AugmentedGrammar,
     GrammarError,
-    Rule,
     augment,
     left_corner,
     left_corner_star,
-    nonterm,
     parse_grammar,
-    term,
     validate,
 )
-from .items import CPItem, ELRItem, LCItem, PLRItem, render_item
+from .items import render_item
 from .oracle import LimitExceededError
 
 _ALGO_CLI_TO_INTERNAL = {
@@ -291,62 +287,6 @@ def main(argv=None) -> int:
     if text:
         stream.write(text)
     return code
-
-
-# ---------------------------------------------------------------------------
-# Debug-only trace re-parser, used by tests to check rendering round-trips.
-
-_TRACE_LINE_RE = re.compile(r"^(\d+)\. \[(init|clause (\d+))\] (.*)$")
-_ITEM_RE = re.compile(r"\[([^\[\]]*)\]")
-_SYM_RE = re.compile(r"'([^']*)'|(\{[^}]*\})|(->)|(\.)|([A-Za-z_'][A-Za-z0-9_']*)")
-
-
-def _parse_symbols(text: str):
-    out = []
-    for m in _SYM_RE.finditer(text):
-        if m.group(1) is not None:
-            out.append(term(m.group(1)))
-        elif m.group(5) is not None:
-            out.append(nonterm(m.group(5)))
-        else:
-            out.append(m.group(0))
-    return out
-
-
-def parse_trace_line(line: str, g: AugmentedGrammar, algo: str, tokens):
-    """Inverse of the trace renderer; returns (step, clause, Configuration)."""
-    m = _TRACE_LINE_RE.match(line)
-    if m is None:
-        raise ValueError(f"not a trace line: {line!r}")
-    step = int(m.group(1))
-    clause = int(m.group(3)) if m.group(3) else None
-    body = m.group(4)
-    if body.endswith(" |"):
-        stack_text, rem_text = body[:-2], ""
-    else:
-        stack_text, rem_text = body.rsplit(" | ", 1)
-    remaining = [t.name for t in _parse_symbols(rem_text) if hasattr(t, "name")]
-    pos = len(tokens) - len(remaining)
-    items = []
-    for item_body in _ITEM_RE.findall(stack_text):
-        parts = _parse_symbols(item_body)
-        arrow = parts.index("->")
-        if algo == "lc":
-            lhs = parts[0]
-            rest = parts[arrow + 1 :]
-            dot = rest.index(".")
-            rhs = tuple(s for s in rest if s != ".")
-            items.append(LCItem(Rule(lhs, rhs), dot))
-        elif algo == "plr":
-            items.append(PLRItem(parts[0], tuple(parts[arrow + 1 :])))
-        elif algo in ("elr", "pseudo_elr"):
-            names = [n for n in parts[0].strip("{}").split(",") if n]
-            items.append(ELRItem(frozenset(nonterm(n) for n in names), tuple(parts[arrow + 1 :])))
-        elif algo == "cp":
-            items.append(CPItem(tuple(parts[arrow + 1 :])))
-        else:
-            raise ValueError(algo)
-    return step, clause, automata.Configuration(tuple(items), pos)
 
 
 if __name__ == "__main__":

@@ -284,6 +284,25 @@ def _unit_cycle_components(g: Grammar) -> list[list[Symbol]]:
     return out
 
 
+def min_yields(g: Grammar) -> dict[Symbol, int]:
+    """Length of the shortest terminal string each symbol derives.
+
+    Terminals yield themselves; unproductive nonterminals are absent.
+    Without epsilon rules every present value is at least 1.
+    """
+    yields: dict[Symbol, int] = {t: 1 for t in g.terminals}
+    changed = True
+    while changed:
+        changed = False
+        for r in g.rules:
+            if all(s in yields for s in r.rhs):
+                total = sum(yields[s] for s in r.rhs)
+                if total < yields.get(r.lhs, total + 1):
+                    yields[r.lhs] = total
+                    changed = True
+    return yields
+
+
 def _productive_nonterminals(g: Grammar) -> frozenset[Symbol]:
     productive: set[Symbol] = set()
     changed = True
@@ -457,10 +476,24 @@ class AugmentedGrammar:
 
     def __post_init__(self):
         object.__setattr__(self, "_idx", _GrammarIndex(self))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def idx(self) -> _GrammarIndex:
         return self._idx  # type: ignore[attr-defined]
+
+    def memo(self, build):
+        """build(self), computed on first use and kept on this grammar.
+
+        Derived tables live and die with the grammar they describe.  Two
+        threads may both build on first use; every caller gets the result
+        stored first, and the two are equal anyway.
+        """
+        memo = self._memo  # type: ignore[attr-defined]
+        value = memo.get(build)
+        if value is None:
+            value = memo.setdefault(build, build(self))
+        return value
 
     @property
     def nonterminals(self) -> frozenset[Symbol]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .grammar import AugmentedGrammar, Rule, Symbol
+from .grammar import AugmentedGrammar, Rule, Symbol, min_yields
 
 MAX_SENTENCE_TOKENS = 10
 NODE_BUDGET = 10_000_000
@@ -26,30 +26,12 @@ def _rules_by_lhs(g: AugmentedGrammar) -> dict[Symbol, tuple[Rule, ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
-def _min_yields(g: AugmentedGrammar) -> dict[Symbol, int]:
-    """Length of the shortest terminal string each symbol derives.
-
-    Terminals yield themselves; unproductive nonterminals are absent.
-    Without epsilon rules every present value is at least 1.
-    """
-    yields: dict[Symbol, int] = {t: 1 for t in g.base.terminals}
-    changed = True
-    while changed:
-        changed = False
-        for r in g.base.rules:
-            if all(s in yields for s in r.rhs):
-                total = sum(yields[s] for s in r.rhs)
-                if total < yields.get(r.lhs, total + 1):
-                    yields[r.lhs] = total
-                    changed = True
-    return yields
-
-
 class _Oracle:
+    """Search tables of one grammar, kept on it by `AugmentedGrammar.memo`."""
+
     def __init__(self, g: AugmentedGrammar):
-        self.g = g
         self.by_lhs = _rules_by_lhs(g)
-        self.min_yield = _min_yields(g)
+        self.min_yield = min_yields(g.base)
 
     def min_total(self, syms) -> int | None:
         total = 0
@@ -61,22 +43,10 @@ class _Oracle:
         return total
 
 
-_CACHE: dict[int, _Oracle] = {}
-
-
-def _oracle(g: AugmentedGrammar) -> _Oracle:
-    key = id(g)
-    ob = _CACHE.get(key)
-    if ob is None or ob.g is not g:
-        ob = _Oracle(g)
-        _CACHE[key] = ob
-    return ob
-
-
 def derives(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -> bool:
     """True iff the start symbol derives exactly the given token string."""
     w = g.tokens_to_symbols(tokens)
-    ob = _oracle(g)
+    ob = g.memo(_Oracle)
     n = len(w)
 
     def normalize(p: int, syms: tuple):
@@ -126,7 +96,7 @@ def viable_prefix(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -
     space finite without a guessed length bound.
     """
     w = g.tokens_to_symbols(tokens)
-    ob = _oracle(g)
+    ob = g.memo(_Oracle)
     n = len(w)
 
     def normalize(p: int, syms: tuple):
@@ -174,7 +144,7 @@ def sentences_up_to(g: AugmentedGrammar, max_tokens: int, node_budget: int = NOD
     """The language restricted to sentences of at most max_tokens tokens."""
     if max_tokens > MAX_SENTENCE_TOKENS:
         raise LimitExceededError(f"max_tokens {max_tokens} exceeds the cap of {MAX_SENTENCE_TOKENS}")
-    ob = _oracle(g)
+    ob = g.memo(_Oracle)
 
     def normalize(prefix: tuple, syms: tuple):
         while syms and syms[0].is_terminal:

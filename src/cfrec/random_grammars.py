@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .grammar import Grammar, Rule, Symbol, nonterm, term, validate
+from .grammar import Grammar, Rule, min_yields, nonterm, term, validate
 
 _NT_NAMES = ("S", "A", "B", "C", "D", "U")
 _T_NAMES = ("a", "b", "c")
@@ -54,20 +54,6 @@ def _candidate(rng: random.Random) -> Grammar:
     )
 
 
-def _min_start_yield(g: Grammar) -> int | None:
-    yields: dict[Symbol, int] = {t: 1 for t in g.terminals}
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            if all(s in yields for s in r.rhs):
-                total = sum(yields[s] for s in r.rhs)
-                if total < yields.get(r.lhs, total + 1):
-                    yields[r.lhs] = total
-                    changed = True
-    return yields.get(g.start)
-
-
 def random_validated_grammars(seed: int, count: int, max_start_yield: int = 6) -> list[Grammar]:
     """Deterministic list of validated, productive random grammars."""
     rng = random.Random(seed)
@@ -81,7 +67,7 @@ def random_validated_grammars(seed: int, count: int, max_start_yield: int = 6) -
             continue
         if any(d.code == "UNPRODUCTIVE_NONTERMINAL" for d in report.warnings()):
             continue
-        y = _min_start_yield(g)
+        y = min_yields(g).get(g.start)
         if y is None or y > max_start_yield:
             continue
         out.append(g)

@@ -1,13 +1,21 @@
-"""Chart realizations of the bare-prefix and set-item recognizers.
+"""Chart realizations of the recognizers: tabulated push-down automata.
 
-A chart maps spans (j, i) to item sets; clause instances are applied as an
-agenda-driven least fixpoint.  The bare-prefix chart comes with a switch
-for top-down filtering.  The set-item chart is column-ordered and merges,
-per cell and recognized prefix, the nonterminal sets contributed by every
-clause instance, so each subderivation is represented by at most one item;
-a per-antecedent "naive" variant is kept as a redundancy baseline, and a
-predict-set variant computes the same chart from per-column prediction
-sets instead of re-scanning antecedents.
+A chart maps spans (j, i) to item sets.  An item in cell (j, i) stands for
+every stack whose top item was pushed after token j and has recognized
+the tokens up to i; the item below it is one that ends at j.  This is
+Lang's tabulation of a push-down automaton, and it lets one engine run
+the four clauses of any item kind (see `items`) as an agenda-driven
+least fixpoint, closing one column i at a time.
+
+The bare-prefix chart (`tabular_cp`) has a switch for top-down filtering.
+Without it no cell depends on a cell with a smaller start, so the chart
+can also be built row by row (`tabular_cp_unfiltered_by_rows`).  The
+set-item chart (`tabular_elr`) has three variants.  merged joins, per cell
+and prefix, the nonterminal sets of every clause instance, so each
+subderivation is represented by at most one item; it filters with the
+prediction set of each column, computed once.  predict_sets names that
+same schedule.  naive fires once per context item and keeps the items
+apart, as a redundancy baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .grammar import AugmentedGrammar, Symbol, render_symbols
-from .items import CPItem, ELRItem, render_delta, render_item
+from .items import ELRItem, item_kind, render_delta, render_item
 
 
 class ColumnIncompleteError(Exception):
@@ -56,34 +64,125 @@ class ChartResult:
     provenance: tuple[ProvenanceEntry, ...]
 
 
-class _Agenda:
-    """Worklist with a pluggable pop order; all orders reach the same fixpoint."""
+def _agenda(order: str, seed: int | None):
+    """The pop function of a worklist deque; all orders reach the same fixpoint."""
+    if order == "fifo":
+        return deque.popleft
+    if order == "lifo":
+        return deque.pop
+    if order != "random":
+        raise ValueError(f"unknown agenda order {order!r}")
+    rng = random.Random(0 if seed is None else seed)
 
-    def __init__(self, order: str = "fifo", rng: random.Random | None = None):
-        if order not in ("fifo", "lifo", "random"):
-            raise ValueError(f"unknown agenda order {order!r}")
-        if order == "random" and rng is None:
-            rng = random.Random(0)
-        self.order = order
-        self.rng = rng
-        self.items: list = []
+    def pop_random(agenda: deque):
+        agenda.rotate(-rng.randrange(len(agenda)))
+        return agenda.popleft()
 
-    def push(self, x):
-        self.items.append(x)
-
-    def pop(self):
-        if self.order == "fifo":
-            return self.items.pop(0)
-        if self.order == "lifo":
-            return self.items.pop()
-        return self.items.pop(self.rng.randrange(len(self.items)))
-
-    def __bool__(self):
-        return bool(self.items)
+    return pop_random
 
 
-def _freeze_cells(cells: dict) -> dict:
-    return {cell: frozenset(items) for cell, items in cells.items() if items}
+def _result(kind, g: AugmentedGrammar, n: int, pairs, prov) -> ChartResult:
+    """The chart of the distinct (cell, item) pairs; it accepts when an item
+    spanning the input completes the start rule."""
+    cells: dict[tuple[int, int], set] = {}
+    for cell, item in pairs:
+        cells.setdefault(cell, set()).add(item)
+    sp = g.start_prime
+    return ChartResult(
+        chart=Chart(n=n, cells={cell: frozenset(items) for cell, items in cells.items()}, completed_through=n),
+        accepted=any(sp in kind.reducible(item) for item in cells.get((0, n), ())),
+        items_added=sum(len(items) for items in cells.values()),
+        provenance=tuple(prov),
+    )
+
+
+def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartResult:
+    """The chart of one item kind, closed column by column.
+
+    Column i holds its items as [cell, item] records.  Clauses 1 and 2
+    over column i - 1 seed it, and an agenda of its own records closes it:
+    a record in cell (j, i) fires clauses 3 and 4 against the items of
+    column j.  Validation rejects epsilon rules, so j < i for every record
+    that completes a rule, and column j is already closed.
+
+    `contexts` says what filters clauses 1 and 3 at a column k: "each"
+    fires once per item of k with its own filter, "union" once with the
+    union of their filters, and None fires unfiltered.
+    With `join`, a cell keeps one item per prefix and merges into it the
+    nonterminal sets of later set items.
+    """
+    kind = item_kind(algo, g)
+    allowed, start, advance, reducible = kind.allowed, kind.start, kind.advance, kind.reducible
+    toks = g.tokens_to_symbols(tokens)
+    n = len(toks)
+    pop = _agenda(agenda_order, seed)
+    columns: list[list] = []
+    cached: dict[int, list] = {}
+    prov: list[ProvenanceEntry] = []
+
+    def filters(k: int):
+        """(allowed, antecedent cells) pairs for clauses 1 and 3 at column k."""
+        if contexts is None:
+            return ((g.nonterminals, ()),)
+        if k not in cached:
+            col = columns[k]
+            if contexts == "each":
+                cached[k] = [(allowed(item), (cell,)) for cell, item in col]
+            else:
+                union = frozenset().union(*(allowed(item) for _, item in col))
+                cached[k] = [(union, tuple(dict.fromkeys(cell for cell, _ in col)))]
+        return cached[k]
+
+    for i in range(n + 1):
+        col: list = []
+        columns.append(col)
+        found: dict = {}
+        agenda: deque = deque()
+
+        def add(j, item, clause, antecedents):
+            key = (j, item.alpha) if join else (j, item)
+            rec = found.get(key)
+            if rec is None:
+                rec = found[key] = [(j, i), item]
+                col.append(rec)
+            else:
+                if not join:
+                    return
+                item = kind.join(rec[1], item)
+                if item is None:
+                    return
+                rec[1] = item
+            prov.append(ProvenanceEntry(clause, rec[0], item, antecedents))
+            agenda.append(rec)
+
+        if i == 0:
+            add(0, kind.init, 0, ())
+        else:
+            a = toks[i - 1]
+            for ok, antecedents in filters(i - 1):
+                for item in start(a, ok):
+                    add(i - 1, item, 1, antecedents)
+            for cell, item in columns[i - 1]:
+                nxt = advance(item, a)
+                if nxt is not None:
+                    add(cell[0], nxt, 2, (cell,))
+        while agenda:
+            cell, item = pop(agenda)
+            completes = reducible(item)
+            if not completes:
+                continue
+            j = cell[0]
+            for ok, antecedents in filters(j):
+                for a_lhs in completes:
+                    for nxt in start(a_lhs, ok):
+                        add(j, nxt, 3, (cell,) + antecedents)
+            for ctx_cell, ctx in columns[j]:
+                for a_lhs in completes:
+                    nxt = advance(ctx, a_lhs)
+                    if nxt is not None:
+                        add(ctx_cell[0], nxt, 4, (cell, ctx_cell))
+
+    return _result(kind, g, n, (rec for col in columns for rec in col), prov)
 
 
 def tabular_cp(
@@ -95,84 +194,12 @@ def tabular_cp(
 ) -> ChartResult:
     """Least fixpoint of the bare-prefix clauses, seeded with [->] at (0,0).
 
-    With td_filter off, scanning needs no antecedent and reductions skip the
-    left-corner check, which makes every row computable independently of the
-    rows above it.
+    The filter of a column is the union of its items' filters.  With
+    td_filter off, scanning needs no antecedent and reductions skip the
+    left-corner check, which makes every row computable independently of
+    the rows above it.
     """
-    toks = g.tokens_to_symbols(tokens)
-    n = len(toks)
-    idx = g.idx
-    cells: dict[tuple[int, int], set] = {}
-    by_start: dict[int, list] = {}
-    by_end: dict[int, list] = {}
-    prov: list[ProvenanceEntry] = []
-    agenda = _Agenda(agenda_order, random.Random(seed) if seed is not None else None)
-
-    def add(cell, item, clause, antecedents):
-        bucket = cells.setdefault(cell, set())
-        if item in bucket:
-            return
-        bucket.add(item)
-        by_start.setdefault(cell[0], []).append((cell, item))
-        by_end.setdefault(cell[1], []).append((cell, item))
-        prov.append(ProvenanceEntry(clause, cell, item, tuple(antecedents)))
-        agenda.push((cell, item))
-
-    add((0, 0), CPItem(()), 0, ())
-    if not td_filter:
-        for i in range(1, n + 1):
-            if idx.first_lhs.get(toks[i - 1]):
-                add((i - 1, i), CPItem((toks[i - 1],)), 1, ())
-
-    while agenda:
-        cell, item = agenda.pop()
-        j, i = cell
-        node = idx.node(item.alpha)
-        if i < n:
-            a = toks[i]
-            if td_filter:
-                allowed = idx.corners_of_any(node.cont_nt.keys())
-                if idx.first_lhs.get(a, frozenset()) & allowed:
-                    add((i, i + 1), CPItem((a,)), 1, (cell,))
-            if a in node.cont:
-                add((j, i + 1), CPItem(item.alpha + (a,)), 2, (cell,))
-        completes = node.complete_ordered
-        if completes:
-            if td_filter:
-                for ctx_cell, ctx in list(by_end.get(j, ())):
-                    callowed = idx.corners_of_any(idx.node(ctx.alpha).cont_nt.keys())
-                    for a_lhs in completes:
-                        if idx.first_lhs.get(a_lhs, frozenset()) & callowed:
-                            add((j, i), CPItem((a_lhs,)), 3, (cell, ctx_cell))
-            else:
-                for a_lhs in completes:
-                    if idx.first_lhs.get(a_lhs):
-                        add((j, i), CPItem((a_lhs,)), 3, (cell,))
-            for ctx_cell, ctx in list(by_end.get(j, ())):
-                ctx_node = idx.node(ctx.alpha)
-                for a_lhs in completes:
-                    if a_lhs in ctx_node.cont:
-                        add((ctx_cell[0], i), CPItem(ctx.alpha + (a_lhs,)), 4, (cell, ctx_cell))
-        # The same item seen from the context side, against reductions at i.
-        if td_filter:
-            xallowed = idx.corners_of_any(node.cont_nt.keys())
-        for red_cell, red in list(by_start.get(i, ())):
-            red_completes = idx.node(red.alpha).complete_ordered
-            for a_lhs in red_completes:
-                if td_filter and idx.first_lhs.get(a_lhs, frozenset()) & xallowed:
-                    add(red_cell, CPItem((a_lhs,)), 3, (red_cell, cell))
-                if a_lhs in node.cont:
-                    add((j, red_cell[1]), CPItem(item.alpha + (a_lhs,)), 4, (red_cell, cell))
-
-    frozen = _freeze_cells(cells)
-    accepted = CPItem((g.base.start,)) in frozen.get((0, n), frozenset())
-    chart = Chart(n=n, cells=frozen, completed_through=n)
-    return ChartResult(
-        chart=chart,
-        accepted=accepted,
-        items_added=sum(len(v) for v in frozen.values()),
-        provenance=tuple(prov),
-    )
+    return _column_chart(g, tokens, "cp", "union" if td_filter else None, False, agenda_order, seed)
 
 
 def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens) -> ChartResult:
@@ -182,245 +209,61 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens) -> ChartResult:
     start, so each row's fixpoint only ever reads rows at or above its own
     index; the result must equal the ordinary agenda computation.
     """
+    kind = item_kind("cp", g)
+    start, advance, reducible = kind.start, kind.advance, kind.reducible
+    everything = g.nonterminals
     toks = g.tokens_to_symbols(tokens)
     n = len(toks)
-    idx = g.idx
-    cells: dict[tuple[int, int], set] = {}
-    by_start: dict[int, list] = {}
+    rows: dict[int, list] = {}
     prov: list[ProvenanceEntry] = []
 
     for h in range(n, -1, -1):
+        row: list = []  # (cell, item, reducible) records of the cells (h, i)
+        found: set = set()
         worklist: deque = deque()
 
-        def add(cell, item, clause, antecedents):
-            assert cell[0] == h
-            bucket = cells.setdefault(cell, set())
-            if item in bucket:
+        def add(i, item, clause, antecedents):
+            if (i, item) in found:
                 return
-            bucket.add(item)
-            by_start.setdefault(cell[0], []).append((cell, item))
-            prov.append(ProvenanceEntry(clause, cell, item, tuple(antecedents)))
-            worklist.append((cell, item))
+            found.add((i, item))
+            rec = ((h, i), item, reducible(item))
+            row.append(rec)
+            prov.append(ProvenanceEntry(clause, rec[0], item, antecedents))
+            worklist.append(rec)
 
         if h == 0:
-            add((0, 0), CPItem(()), 0, ())
-        if h < n and idx.first_lhs.get(toks[h]):
-            add((h, h + 1), CPItem((toks[h],)), 1, ())
-
+            add(0, kind.init, 0, ())
+        if h < n:
+            for item in start(toks[h], everything):
+                add(h + 1, item, 1, ())
         while worklist:
-            cell, item = worklist.popleft()
-            _, i = cell
-            node = idx.node(item.alpha)
-            if i < n and toks[i] in node.cont:
-                add((h, i + 1), CPItem(item.alpha + (toks[i],)), 2, (cell,))
-            completes = node.complete_ordered
+            cell, item, completes = worklist.popleft()
+            i = cell[1]
+            if i < n:
+                nxt = advance(item, toks[i])
+                if nxt is not None:
+                    add(i + 1, nxt, 2, (cell,))
             for a_lhs in completes:
-                if idx.first_lhs.get(a_lhs):
-                    add((h, i), CPItem((a_lhs,)), 3, (cell,))
-            # As the context: reductions start where this item ends, in rows >= h.
-            for red_cell, red in list(by_start.get(i, ())):
-                for a_lhs in idx.node(red.alpha).complete_ordered:
-                    if a_lhs in node.cont:
-                        add((h, red_cell[1]), CPItem(item.alpha + (a_lhs,)), 4, (red_cell, cell))
-            # As the reduction: the only same-row context is the seed cell.
-            for ctx_cell, ctx in list(by_start.get(h, ())):
-                if ctx_cell[1] != cell[0]:
-                    continue
-                ctx_node = idx.node(ctx.alpha)
-                for a_lhs in completes:
-                    if a_lhs in ctx_node.cont:
-                        add((h, i), CPItem(ctx.alpha + (a_lhs,)), 4, (cell, ctx_cell))
+                for nxt in start(a_lhs, everything):
+                    add(i, nxt, 3, (cell,))
+                # As the reduction: the only context in its own row is the seed.
+                nxt = advance(kind.init, a_lhs) if h == 0 else None
+                if nxt is not None:
+                    add(i, nxt, 4, (cell, (0, 0)))
+            # As the context: the reductions that start where it ends, in a finished row.
+            for red_cell, _, red_completes in rows[i] if i > h else ():
+                for a_lhs in red_completes:
+                    nxt = advance(item, a_lhs)
+                    if nxt is not None:
+                        add(red_cell[1], nxt, 4, (red_cell, cell))
+        rows[h] = row
 
-    frozen = _freeze_cells(cells)
-    accepted = CPItem((g.base.start,)) in frozen.get((0, n), frozenset())
-    chart = Chart(n=n, cells=frozen, completed_through=n)
-    return ChartResult(
-        chart=chart,
-        accepted=accepted,
-        items_added=sum(len(v) for v in frozen.values()),
-        provenance=tuple(prov),
-    )
-
-
-def _expected_after(idx, entries, cells):
-    """Nonterminals expected immediately after a completed column."""
-    out = set()
-    for cell, alpha in entries:
-        delta = cells[cell][alpha]
-        for c, lhss in idx.node(alpha).cont_nt.items():
-            if lhss & delta:
-                out.add(c)
-    return frozenset(out)
-
-
-def _tabular_elr_merged(g, toks, use_predict_sets, agenda_order, seed):
-    idx = g.idx
-    n = len(toks)
-    sp = g.start_prime
-    cells: dict[tuple[int, int], dict[tuple, frozenset]] = {(0, 0): {(): frozenset({sp})}}
-    columns: dict[int, list] = {0: [((0, 0), ())]}
-    prov: list[ProvenanceEntry] = []
-    predict: dict[int, frozenset] = {}
-    rng = random.Random(seed) if seed is not None else None
-
-    if use_predict_sets:
-        predict[0] = idx.corners_of_any(_expected_after(idx, columns[0], cells))
-
-    for i in range(1, n + 1):
-        a = toks[i - 1]
-        agenda = _Agenda(agenda_order, rng)
-
-        def add(cell, alpha, contrib, clause, antecedents):
-            cdict = cells.setdefault(cell, {})
-            old = cdict.get(alpha)
-            if old is None:
-                cdict[alpha] = frozenset(contrib)
-                columns.setdefault(cell[1], []).append((cell, alpha))
-            else:
-                new = old | contrib
-                if new == old:
-                    return
-                cdict[alpha] = new
-            prov.append(ProvenanceEntry(clause, cell, ELRItem(cdict[alpha], alpha), tuple(antecedents)))
-            agenda.push((cell, alpha))
-
-        prev_entries = columns.get(i - 1, ())
-        if use_predict_sets:
-            d1 = idx.first_lhs.get(a, frozenset()) & predict[i - 1]
-        else:
-            d1 = frozenset()
-            for cell, alpha in prev_entries:
-                delta = cells[cell][alpha]
-                expected = [c for c, lhss in idx.node(alpha).cont_nt.items() if lhss & delta]
-                if expected:
-                    d1 |= idx.first_lhs.get(a, frozenset()) & idx.corners_of_any(expected)
-        if d1:
-            add((i - 1, i), (a,), d1, 1, tuple(cell for cell, _ in prev_entries))
-        for cell, alpha in list(prev_entries):
-            delta = cells[cell][alpha]
-            d2 = delta & idx.node(alpha).cont.get(a, frozenset())
-            if d2:
-                add((cell[0], i), alpha + (a,), d2, 2, (cell,))
-
-        while agenda:
-            cell, alpha = agenda.pop()
-            j = cell[0]
-            delta = cells[cell][alpha]
-            node = idx.node(alpha)
-            reducible = [x for x in node.complete_ordered if x in delta]
-            mid_entries = columns.get(j, ())
-            for a_lhs in reducible:
-                if use_predict_sets:
-                    d3 = idx.first_lhs.get(a_lhs, frozenset()) & predict[j]
-                else:
-                    d3 = frozenset()
-                    for mcell, beta in mid_entries:
-                        dmid = cells[mcell][beta]
-                        expected = [c for c, lhss in idx.node(beta).cont_nt.items() if lhss & dmid]
-                        if expected:
-                            d3 |= idx.first_lhs.get(a_lhs, frozenset()) & idx.corners_of_any(expected)
-                if d3:
-                    add((j, i), (a_lhs,), d3, 3, tuple(mcell for mcell, _ in mid_entries))
-                for mcell, beta in list(mid_entries):
-                    dmid = cells[mcell][beta]
-                    d4 = dmid & idx.node(beta).cont.get(a_lhs, frozenset())
-                    if d4:
-                        add((mcell[0], i), beta + (a_lhs,), d4, 4, (cell, mcell))
-
-        if use_predict_sets:
-            predict[i] = idx.corners_of_any(_expected_after(idx, columns.get(i, ()), cells))
-
-    out_cells: dict[tuple[int, int], set] = {}
-    for cell, cdict in cells.items():
-        out_cells[cell] = {ELRItem(delta, alpha) for alpha, delta in cdict.items()}
-    frozen = _freeze_cells(out_cells)
-    final = cells.get((0, n), {}).get((g.base.start,), frozenset())
-    accepted = sp in final
-    chart = Chart(n=n, cells=frozen, completed_through=n)
-    return ChartResult(
-        chart=chart,
-        accepted=accepted,
-        items_added=sum(len(v) for v in frozen.values()),
-        provenance=tuple(prov),
-    )
-
-
-def _tabular_elr_naive(g, toks, agenda_order, seed):
-    idx = g.idx
-    n = len(toks)
-    sp = g.start_prime
-    cells: dict[tuple[int, int], set] = {}
-    by_start: dict[int, list] = {}
-    by_end: dict[int, list] = {}
-    prov: list[ProvenanceEntry] = []
-    agenda = _Agenda(agenda_order, random.Random(seed) if seed is not None else None)
-
-    def add(cell, item, clause, antecedents):
-        bucket = cells.setdefault(cell, set())
-        if item in bucket:
-            return
-        bucket.add(item)
-        by_start.setdefault(cell[0], []).append((cell, item))
-        by_end.setdefault(cell[1], []).append((cell, item))
-        prov.append(ProvenanceEntry(clause, cell, item, tuple(antecedents)))
-        agenda.push((cell, item))
-
-    def expected_corners(item):
-        node = idx.node(item.alpha)
-        expected = [c for c, lhss in node.cont_nt.items() if lhss & item.delta]
-        return idx.corners_of_any(expected)
-
-    add((0, 0), ELRItem(frozenset({sp}), ()), 0, ())
-
-    while agenda:
-        cell, item = agenda.pop()
-        j, i = cell
-        node = idx.node(item.alpha)
-        if i < n:
-            a = toks[i]
-            d1 = idx.first_lhs.get(a, frozenset()) & expected_corners(item)
-            if d1:
-                add((i, i + 1), ELRItem(d1, (a,)), 1, (cell,))
-            d2 = item.delta & node.cont.get(a, frozenset())
-            if d2:
-                add((j, i + 1), ELRItem(d2, item.alpha + (a,)), 2, (cell,))
-        reducible = [x for x in node.complete_ordered if x in item.delta]
-        if reducible:
-            for ctx_cell, ctx in list(by_end.get(j, ())):
-                callowed = expected_corners(ctx)
-                ctx_node = idx.node(ctx.alpha)
-                for a_lhs in reducible:
-                    d3 = idx.first_lhs.get(a_lhs, frozenset()) & callowed
-                    if d3:
-                        add((j, i), ELRItem(d3, (a_lhs,)), 3, (cell, ctx_cell))
-                    d4 = ctx.delta & ctx_node.cont.get(a_lhs, frozenset())
-                    if d4:
-                        add((ctx_cell[0], i), ELRItem(d4, ctx.alpha + (a_lhs,)), 4, (cell, ctx_cell))
-        xallowed = expected_corners(item)
-        for red_cell, red in list(by_start.get(i, ())):
-            red_reducible = [x for x in idx.node(red.alpha).complete_ordered if x in red.delta]
-            for a_lhs in red_reducible:
-                d3 = idx.first_lhs.get(a_lhs, frozenset()) & xallowed
-                if d3:
-                    add((i, red_cell[1]), ELRItem(d3, (a_lhs,)), 3, (red_cell, cell))
-                d4 = item.delta & node.cont.get(a_lhs, frozenset())
-                if d4:
-                    add((j, red_cell[1]), ELRItem(d4, item.alpha + (a_lhs,)), 4, (red_cell, cell))
-
-    frozen = _freeze_cells(cells)
-    accepted = any(
-        sp in it.delta and it.alpha == (g.base.start,) for it in frozen.get((0, n), frozenset())
-    )
-    chart = Chart(n=n, cells=frozen, completed_through=n)
-    return ChartResult(
-        chart=chart,
-        accepted=accepted,
-        items_added=sum(len(v) for v in frozen.values()),
-        provenance=tuple(prov),
-    )
+    return _result(kind, g, n, ((cell, item) for row in rows.values() for cell, item, _ in row), prov)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")
+
+_ELR_SCHEDULES = {"merged": ("union", True), "predict_sets": ("union", True), "naive": ("each", False)}
 
 
 def tabular_elr(
@@ -433,26 +276,24 @@ def tabular_elr(
     """Column-ordered set-item chart.
 
     merged: nonterminal sets are merged over all antecedents per (cell,
-    prefix), so a cell never holds two items with the same prefix.
-    predict_sets: same chart, but the filtered scan and reduction clauses
-    intersect with a prediction set materialized after each column.
+    prefix), so a cell never holds two items with the same prefix.  The
+    filtered scan and reduction clauses intersect with the prediction set
+    of their column, materialized once the column is closed.
+    predict_sets: another name for merged, kept for callers of it.
     naive: clause instances fire once per antecedent item and cells keep
     the resulting items separate, possibly with overlapping sets.
     """
-    toks = g.tokens_to_symbols(tokens)
-    if variant == "merged":
-        return _tabular_elr_merged(g, toks, False, agenda_order, seed)
-    if variant == "predict_sets":
-        return _tabular_elr_merged(g, toks, True, agenda_order, seed)
-    if variant == "naive":
-        return _tabular_elr_naive(g, toks, agenda_order, seed)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _ELR_SCHEDULES:
+        raise ValueError(f"unknown variant {variant!r}")
+    contexts, join = _ELR_SCHEDULES[variant]
+    return _column_chart(g, tokens, "elr", contexts, join, agenda_order, seed)
 
 
 def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
     """Left corners of the nonterminals expected right after position i."""
     if i > chart.completed_through:
         raise ColumnIncompleteError(f"column {i} is not complete (chart built through {chart.completed_through})")
+    elr = item_kind("elr", g)
     out: set[Symbol] = set()
     for (j, k), items in chart.cells.items():
         if k != i:
@@ -460,10 +301,7 @@ def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
         for item in items:
             if not isinstance(item, ELRItem):
                 raise TypeError(f"prediction sets are defined for set-item charts, not {type(item).__name__}")
-            node = g.idx.node(item.alpha)
-            for c, lhss in node.cont_nt.items():
-                if lhss & item.delta:
-                    out |= g.idx.lc_star_of[c]
+            out |= elr.allowed(item)
     return PredictSet(i=i, nonterminals=frozenset(out))
 
 

@@ -3,7 +3,8 @@ import sys
 from pathlib import Path
 
 from cfrec.automata import accepting_trace
-from cfrec.cli import parse_trace_line, render_trace, run_command
+from cfrec.cli import render_trace, run_command
+from trace_parser import parse_trace_line
 
 REPO = Path(__file__).resolve().parents[1]
 G1 = str(REPO / "grammars" / "g1.cfg")

@@ -85,3 +85,15 @@ def test_sentences_cap():
 def test_node_budget_is_an_error_not_an_answer(g1):
     with pytest.raises(LimitExceededError):
         derives(g1, ["a", "+", "a", "+", "a"], node_budget=2)
+
+
+def test_oracle_tables_die_with_their_grammar():
+    import gc
+    import weakref
+
+    g = augment(parse_grammar("start S\nS -> S 'a' | 'a'"))
+    assert derives(g, ["a", "a"])
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
