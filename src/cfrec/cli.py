@@ -74,7 +74,9 @@ def _build_parser() -> _ArgumentParser:
 
     sp = sub.add_parser("compare", help="run every recognizer and report metrics")
     sp.add_argument("--oracle", action="store_true", help="include brute-force ground truth")
-    sp.add_argument("--budget", type=int, default=automata.DEFAULT_BUDGET)
+    sp.add_argument(
+        "--budget", type=int, default=automata.DEFAULT_BUDGET, help="configurations per stack engine, items per chart"
+    )
     sp.add_argument("--allow-cyclic", action="store_true")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_compare)
@@ -145,10 +147,7 @@ def _cmd_recognize(args, tokens):
     algo = _ALGO_CLI_TO_INTERNAL[args.algo]
     lines = []
     if args.trace:
-        try:
-            trace = automata.accepting_trace(algo, g, tokens, budget=args.budget)
-        except automata.BudgetExhaustedError:
-            return 3, "budget exhausted\n"
+        trace = automata.accepting_trace(algo, g, tokens, budget=args.budget)
         if trace is not None:
             lines.append(render_trace(trace, tokens).rstrip("\n"))
             lines.append("accepted")
@@ -204,11 +203,11 @@ def build_compare_report(g: AugmentedGrammar, tokens, budget=automata.DEFAULT_BU
         res = automata.recognize(_ALGO_CLI_TO_INTERNAL[cli_name], g, tokens, budget=budget)
         exhausted = exhausted or res.budget_exhausted
         rows.append(CompareRow(cli_name, res.accepted, res.configurations_explored, res.choice_points, None))
-    tab_cp = tabular.tabular_cp(g, tokens, td_filter=True)
+    tab_cp = tabular.tabular_cp(g, tokens, td_filter=True, budget=budget)
     rows.append(CompareRow("tab-cp", tab_cp.accepted, tab_cp.items_added, None, None))
-    tab_elr = tabular.tabular_elr(g, tokens, variant="merged")
+    tab_elr = tabular.tabular_elr(g, tokens, variant="merged", budget=budget)
     rows.append(CompareRow("tab-elr", tab_elr.accepted, tab_elr.items_added, None, None))
-    naive = tabular.tabular_elr(g, tokens, variant="naive")
+    naive = tabular.tabular_elr(g, tokens, variant="naive", budget=budget)
     rows.append(
         CompareRow("tab-elr-naive", naive.accepted, naive.items_added, None, tabular.duplicate_alpha_cells(naive.chart))
     )
@@ -275,6 +274,8 @@ def run_command(argv) -> tuple[int, str]:
         return 2, str(e) + ("\n" if not str(e).endswith("\n") else "")
     except FileNotFoundError as e:
         return 2, f"error: {e}\n"
+    except automata.BudgetExhaustedError:
+        return 3, "budget exhausted\n"
     except LimitExceededError as e:
         return 2, f"error: {e}\n"
     except GrammarError as e:

@@ -378,92 +378,98 @@ def validate(g: Grammar) -> ValidationReport:
     return ValidationReport(ok=ok, diagnostics=tuple(diags))
 
 
-class _PrefixNode:
-    """Everything the clause conditions need to know about one rhs prefix."""
-
-    __slots__ = ("cont", "cont_nt", "complete", "complete_ordered", "through")
-
-    def __init__(self):
-        self.cont: dict[Symbol, frozenset[Symbol]] = {}
-        self.cont_nt: dict[Symbol, frozenset[Symbol]] = {}
-        self.complete: frozenset[Symbol] = frozenset()
-        self.complete_ordered: tuple[Symbol, ...] = ()
-        self.through: frozenset[Symbol] = frozenset()
-
-
-_EMPTY = frozenset()
-
-
 class _GrammarIndex:
-    """Precomputed query tables over the augmented rule set."""
+    """The augmented rules compiled to small ints.
+
+    Symbols become ids, nonterminals first, so a nonterminal's id is also
+    its bit in a set mask.  Rules keep their order; equal rules share the
+    id of the first.  Each rule prefix is a node of a trie, node 0 the
+    empty prefix: ``cont[node]`` maps a symbol id to (child node, mask of
+    the left-hand sides whose rules continue with that symbol),
+    ``complete[node]`` is the mask of those the prefix completes and
+    ``complete_ordered[node]`` the same ids in rule order; ``cont[0][x]``
+    is thus the node of (x,) and the first-symbol mask of x.  ``lc_star[c]``
+    is the mask of the left corners of nonterminal c, and ``corners[node]``
+    the union of ``lc_star`` over the nonterminals that may follow the
+    prefix.  The engines run on these tables alone.
+    """
 
     def __init__(self, aug: "AugmentedGrammar"):
-        rules = aug.rules_dagger
         self.nonterminals = aug.base.nonterminals | {aug.start_prime}
-        self.terminals = aug.base.terminals
-        self.terminal_by_name = {t.name: t for t in self.terminals}
+        terminals = aug.base.terminals
+        self.symbols: tuple[Symbol, ...] = tuple(sorted(self.nonterminals)) + tuple(sorted(terminals))
+        self.ids = {s: k for k, s in enumerate(self.symbols)}
+        n_nt = len(self.nonterminals)
+        self.all_nonterminals = (1 << n_nt) - 1
+        self.terminal_ids = {t.name: self.ids[t] for t in terminals}
 
-        by_first: dict[Symbol, list[Rule]] = {}
-        first_lhs: dict[Symbol, set[Symbol]] = {}
-        node_cont: dict[tuple, dict[Symbol, set[Symbol]]] = {}
-        node_complete: dict[tuple, list[Symbol]] = {}
-        prefixes: set[tuple] = {()}
-        for r in rules:
-            if not r.rhs:
-                continue
-            by_first.setdefault(r.rhs[0], []).append(r)
-            first_lhs.setdefault(r.rhs[0], set()).add(r.lhs)
-            for k in range(len(r.rhs) + 1):
-                prefix = r.rhs[:k]
-                prefixes.add(prefix)
-                if k < len(r.rhs):
-                    node_cont.setdefault(prefix, {}).setdefault(r.rhs[k], set()).add(r.lhs)
-                else:
-                    node_complete.setdefault(prefix, [])
-                    if r.lhs not in node_complete[prefix]:
-                        node_complete[prefix].append(r.lhs)
+        rule_id: dict[Rule, int] = {}
+        for r in aug.rules_dagger:
+            rule_id.setdefault(r, len(rule_id))
+        self.rules: tuple[Rule, ...] = tuple(rule_id)
+        self.lhs = tuple(self.ids[r.lhs] for r in self.rules)
+        self.rhs = tuple(tuple(self.ids[s] for s in r.rhs) for r in self.rules)
+        by_first: dict[int, list[int]] = {}
+        for r in aug.rules_dagger:
+            by_first.setdefault(self.ids[r.rhs[0]], []).append(rule_id[r])
+        self.rules_by_first = {x: tuple(rs) for x, rs in by_first.items()}
 
-        self.rules_by_first = {s: tuple(rs) for s, rs in by_first.items()}
-        self.first_lhs = {s: frozenset(v) for s, v in first_lhs.items()}
-        self.nodes: dict[tuple, _PrefixNode] = {}
-        for prefix in prefixes:
-            node = _PrefixNode()
-            cont = node_cont.get(prefix, {})
-            node.cont = {s: frozenset(v) for s, v in cont.items()}
-            node.cont_nt = {s: v for s, v in node.cont.items() if s.is_nonterminal}
-            ordered = node_complete.get(prefix, [])
-            node.complete = frozenset(ordered)
-            node.complete_ordered = tuple(ordered)
-            node.through = frozenset().union(node.complete, *node.cont.values())
-            self.nodes[prefix] = node
+        self.prefixes: list[tuple[Symbol, ...]] = [()]
+        self.cont: list[dict[int, tuple[int, int]]] = [{}]
+        complete_ordered: list[list[int]] = [[]]
+        for rule, lhs, rhs in zip(self.rules, self.lhs, self.rhs):
+            node = 0
+            for k, x in enumerate(rhs):
+                step = self.cont[node].get(x)
+                if step is None:
+                    step = (len(self.prefixes), 0)
+                    self.prefixes.append(rule.rhs[: k + 1])
+                    self.cont.append({})
+                    complete_ordered.append([])
+                node_next = step[0]
+                self.cont[node][x] = (node_next, step[1] | 1 << lhs)
+                node = node_next
+            if lhs not in complete_ordered[node]:
+                complete_ordered[node].append(lhs)
+        self.node_of = {prefix: node for node, prefix in enumerate(self.prefixes)}
+        self.complete_ordered = [tuple(ids) for ids in complete_ordered]
+        self.complete = [sum(1 << a for a in ids) for ids in complete_ordered]
 
         # D is a left corner of C iff C can start a derivation whose leftmost
         # symbol chain reaches D; reflexive over every nonterminal.
-        corner_edges: dict[Symbol, set[Symbol]] = {n: set() for n in self.nonterminals}
-        for r in rules:
-            if r.rhs and r.rhs[0].is_nonterminal:
-                corner_edges[r.lhs].add(r.rhs[0])
-        star: dict[Symbol, frozenset[Symbol]] = {}
-        for c in self.nonterminals:
+        corner_edges: list[set[int]] = [set() for _ in range(n_nt)]
+        for lhs, rhs in zip(self.lhs, self.rhs):
+            if rhs[0] < n_nt:
+                corner_edges[lhs].add(rhs[0])
+        self.lc_star: list[int] = []
+        for c in range(n_nt):
             seen = {c}
             frontier = [c]
             while frontier:
-                x = frontier.pop()
-                for y in corner_edges.get(x, ()):
+                for y in corner_edges[frontier.pop()]:
                     if y not in seen:
                         seen.add(y)
                         frontier.append(y)
-            star[c] = frozenset(seen)
-        self.lc_star_of = star
+            self.lc_star.append(sum(1 << d for d in seen))
+        self.corners = [0] * len(self.prefixes)
+        for node, cont in enumerate(self.cont):
+            for c in cont:
+                if c < n_nt:
+                    self.corners[node] |= self.lc_star[c]
 
-    def node(self, prefix: tuple) -> _PrefixNode:
-        return self.nodes[prefix]
+    def nonterminal_set(self, mask: int) -> frozenset[Symbol]:
+        """The nonterminals whose bits are set in mask."""
+        return frozenset(self.symbols[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
-    def corners_of_any(self, expected) -> frozenset[Symbol]:
-        """Union of left-corner sets of the expected nonterminals."""
-        if not expected:
-            return _EMPTY
-        return frozenset().union(*(self.lc_star_of[c] for c in expected))
+    def token_ids(self, tokens) -> tuple[int, ...]:
+        """Map token names to terminal ids; unknown names are errors."""
+        out = []
+        for t in tokens:
+            k = self.terminal_ids.get(t)
+            if k is None:
+                raise UnknownTokenError(t)
+            out.append(k)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -505,13 +511,7 @@ class AugmentedGrammar:
 
     def tokens_to_symbols(self, tokens) -> tuple[Symbol, ...]:
         """Map token names to declared terminals; unknown names are errors."""
-        out = []
-        for t in tokens:
-            sym = self.idx.terminal_by_name.get(t)
-            if sym is None:
-                raise UnknownTokenError(t)
-            out.append(sym)
-        return tuple(out)
+        return tuple(self.idx.symbols[k] for k in self.idx.token_ids(tokens))
 
 
 def augment(g: Grammar, allow_unit_cycles: bool = False) -> AugmentedGrammar:

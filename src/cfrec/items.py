@@ -26,7 +26,23 @@ With ``top`` the item on the stack top, ``below`` the one under it and
    ``advance(below, A)``.
 
 The stack engine in `automata` and the chart engine in `tabular` both run
-these primitives and nothing else.
+these primitives and nothing else.  They run them on codes over the
+grammar's compiled index (see `grammar._GrammarIndex`), never on the
+public item classes: a symbol is an int id, a nonterminal set an int mask
+and a rule prefix a trie node id.  The codes are
+
+- lc: ``(rule id, dot)``;
+- plr: ``(lhs id, prefix node)``;
+- elr and pseudo_elr: ``(prefix node, lhs mask)``;
+- cp: ``prefix node``.
+
+A kind's ``encode`` and ``decode`` map between codes and the public
+`LCItem`, `PLRItem`, `ELRItem` and `CPItem`; the engines call them only
+at their edges, on what they are given and what they return.  The
+finite universes (lc, plr, cp) are decoded from tables built once per
+grammar.  Set items are decoded through the cache of a ``decoder()``,
+which lives for one engine call, so the grammar keeps no state that
+grows with the inputs it has seen.
 """
 
 from __future__ import annotations
@@ -35,7 +51,19 @@ from dataclasses import dataclass
 
 from .grammar import AugmentedGrammar, Rule, Symbol, render_symbols
 
-_EMPTY: frozenset = frozenset()
+DEFAULT_BUDGET = 1_000_000
+
+
+class KindMismatchError(TypeError):
+    """An item is not of the algorithm's item kind, or not of its grammar."""
+
+    code = "KIND_MISMATCH"
+
+
+class BudgetExhaustedError(Exception):
+    """An engine reached its bound on distinct configurations or chart items."""
+
+    code = "BUDGET_EXHAUSTED"
 
 
 @dataclass(frozen=True)
@@ -111,107 +139,116 @@ def render_item(item) -> str:
     raise TypeError(f"not an item: {item!r}")
 
 
-def lc_items(g: AugmentedGrammar) -> frozenset[LCItem]:
-    """All dotted items; dot 0 is reserved for the fresh start rule."""
-    out = set()
-    for r in g.rules_dagger:
-        lo = 0 if r.lhs == g.start_prime else 1
-        for dot in range(lo, len(r.rhs) + 1):
-            out.add(LCItem(r, dot))
-    return frozenset(out)
 
 
-def plr_items(g: AugmentedGrammar) -> frozenset[PLRItem]:
-    """Quotient of the dotted items by (lhs, recognized prefix)."""
-    out = set()
-    for r in g.rules_dagger:
-        lo = 0 if r.lhs == g.start_prime else 1
-        for dot in range(lo, len(r.rhs) + 1):
-            out.add(PLRItem(r.lhs, r.rhs[:dot]))
-    return frozenset(out)
+class _FiniteKind:
+    """A kind whose public items are all built once, with their codes."""
+
+    item_type: type
+
+    def _publish(self, public: dict):
+        self.universe = public  # code -> public item
+        self._codes = {item: code for code, item in public.items()}
+        self.decode = public.__getitem__
+
+    def encode(self, item):
+        code = self._codes.get(item) if isinstance(item, self.item_type) else None
+        if code is None:
+            raise KindMismatchError(f"{item!r} is not a {self.item_type.__name__} of this grammar")
+        return code
+
+    def decoder(self):
+        return self.decode
 
 
-def cp_items(g: AugmentedGrammar) -> frozenset[CPItem]:
-    """All distinct rule prefixes, the empty prefix included."""
-    out = set()
-    for r in g.rules_dagger:
-        for dot in range(len(r.rhs) + 1):
-            out.add(CPItem(r.rhs[:dot]))
-    return frozenset(out)
+def _dotted(g: AugmentedGrammar):
+    """(rule id, rule, dot) for every dotted item of g: dot 0 only on the start rule."""
+    start_rule = g.idx.rules.index(g.rules_dagger[-1])
+    for r, rule in enumerate(g.idx.rules):
+        for dot in range(0 if r == start_rule else 1, len(rule.rhs) + 1):
+            yield r, rule, dot
 
 
-def elr_item_is_valid(delta, alpha, g: AugmentedGrammar) -> bool:
-    """Membership test for the set-item universe, which is never enumerated.
-
-    The universe is exponential in the nonterminal count, so validity is
-    checked lazily for the items that actually materialize.
-    """
-    delta = frozenset(delta)
-    alpha = tuple(alpha)
-    if not delta:
-        return False
-    node = g.idx.nodes.get(alpha)
-    if node is None or not delta <= node.through:
-        return False
-    return bool(alpha) or delta == frozenset({g.start_prime})
-
-
-class LCKind:
+class LCKind(_FiniteKind):
     """Dotted items: the filter is the corners of the symbol after the dot."""
 
     item_type = LCItem
 
     def __init__(self, g: AugmentedGrammar):
-        self._lc_star = g.idx.lc_star_of
-        self._by_first = g.idx.rules_by_first
-        start_rule = g.rules_dagger[-1]
-        self.init = LCItem(start_rule, 0)
-        self.final = LCItem(start_rule, 1)
+        idx = g.idx
+        n_nt = len(idx.nonterminals)
+        self._by_first = {x: tuple((r, 1 << idx.lhs[r]) for r in rs) for x, rs in idx.rules_by_first.items()}
+        # Per rule and dot: the symbol after the dot, its corners, and what the item completes.
+        self._next = [rhs + (None,) for rhs in idx.rhs]
+        self._allowed = [[idx.lc_star[x] if x is not None and x < n_nt else 0 for x in nxt] for nxt in self._next]
+        self._reducible = [[()] * len(rhs) + [(lhs,)] for lhs, rhs in zip(idx.lhs, idx.rhs)]
+        start_rule = idx.rules.index(g.rules_dagger[-1])
+        self.init = (start_rule, 0)
+        self.final = (start_rule, 1)
+        self._publish({(r, dot): LCItem(rule, dot) for r, rule, dot in _dotted(g)})
 
     def allowed(self, item):
-        nxt = item.next_symbol
-        return self._lc_star[nxt] if nxt is not None and nxt.is_nonterminal else _EMPTY
+        r, dot = item
+        return self._allowed[r][dot]
 
     def start(self, x, allowed):
-        return [LCItem(r, 1) for r in self._by_first.get(x, ()) if r.lhs in allowed]
+        return [(r, 1) for r, bit in self._by_first.get(x, ()) if bit & allowed]
 
     def advance(self, item, x):
-        return LCItem(item.rule, item.dot + 1) if item.next_symbol == x else None
+        r, dot = item
+        return (r, dot + 1) if self._next[r][dot] == x else None
 
     def reducible(self, item):
-        return (item.rule.lhs,) if item.complete else ()
+        r, dot = item
+        return self._reducible[r][dot]
 
 
-class PLRKind:
+class PLRKind(_FiniteKind):
     """Prefix items: one item per left-hand side and recognized prefix."""
 
     item_type = PLRItem
 
     def __init__(self, g: AugmentedGrammar):
-        self._nodes = g.idx.nodes
-        self._by_first = g.idx.rules_by_first
-        self._corners = g.idx.corners_of_any
-        self.init = PLRItem(g.start_prime, ())
-        self.final = PLRItem(g.start_prime, (g.base.start,))
+        idx = g.idx
+        n_nt = len(idx.nonterminals)
+        self._cont = idx.cont
+        self._complete = idx.complete
+        # Per first symbol: its left-hand sides in rule order, each once.
+        self._start = {
+            x: tuple((lhs, 1 << lhs, (lhs, idx.cont[0][x][0])) for lhs in dict.fromkeys(idx.lhs[r] for r in rs))
+            for x, rs in idx.rules_by_first.items()
+        }
+        sp = idx.ids[g.start_prime]
+        self.init = (sp, 0)
+        self.final = (sp, idx.node_of[(g.base.start,)])
+        self._publish(
+            {
+                (idx.lhs[r], idx.node_of[rule.rhs[:dot]]): PLRItem(rule.lhs, rule.rhs[:dot])
+                for r, rule, dot in _dotted(g)
+            }
+        )
+        self._allowed = {}
+        for lhs, node in self.universe:
+            corners = 0
+            for c, (_, lhss) in idx.cont[node].items():
+                if c < n_nt and lhss >> lhs & 1:
+                    corners |= idx.lc_star[c]
+            self._allowed[lhs, node] = corners
 
     def allowed(self, item):
-        lhs = item.lhs
-        return self._corners([c for c, lhss in self._nodes[item.alpha].cont_nt.items() if lhs in lhss])
+        return self._allowed[item]
 
     def start(self, x, allowed):
-        out = {}
-        for r in self._by_first.get(x, ()):
-            if r.lhs in allowed and r.lhs not in out:
-                out[r.lhs] = PLRItem(r.lhs, (x,))
-        return out.values()
+        return [code for _, bit, code in self._start.get(x, ()) if bit & allowed]
 
     def advance(self, item, x):
-        if item.lhs in self._nodes[item.alpha].cont.get(x, ()):
-            return PLRItem(item.lhs, item.alpha + (x,))
-        return None
+        lhs, node = item
+        step = self._cont[node].get(x)
+        return (lhs, step[0]) if step is not None and step[1] >> lhs & 1 else None
 
     def reducible(self, item):
-        return (item.lhs,) if item.lhs in self._nodes[item.alpha].complete else ()
+        lhs, node = item
+        return (lhs,) if self._complete[node] >> lhs & 1 else ()
 
 
 class ELRKind:
@@ -220,39 +257,84 @@ class ELRKind:
     item_type = ELRItem
 
     def __init__(self, g: AugmentedGrammar):
-        self._nodes = g.idx.nodes
-        self._first_lhs = g.idx.first_lhs
-        self._corners = g.idx.corners_of_any
-        self.init = ELRItem(frozenset({g.start_prime}), ())
-        self.final = ELRItem(frozenset({g.start_prime}), (g.base.start,))
+        idx = g.idx
+        n_nt = len(idx.nonterminals)
+        self._idx = idx
+        self._cont = idx.cont
+        self._root = idx.cont[0]
+        # Per prefix node: (lhs mask, corners) of each nonterminal that may follow it.
+        self._cont_nt = [
+            tuple((lhss, idx.lc_star[c]) for c, (_, lhss) in cont.items() if c < n_nt) for cont in idx.cont
+        ]
+        self._complete = [tuple((a, 1 << a) for a in ids) for ids in idx.complete_ordered]
+        sp = 1 << idx.ids[g.start_prime]
+        self.init = (0, sp)
+        self.final = (idx.node_of[(g.base.start,)], sp)
 
     def allowed(self, item):
-        delta = item.delta
-        return self._corners([c for c, lhss in self._nodes[item.alpha].cont_nt.items() if lhss & delta])
+        node, delta = item
+        out = 0
+        for lhss, corners in self._cont_nt[node]:
+            if lhss & delta:
+                out |= corners
+        return out
 
     def start(self, x, allowed):
-        delta = self._first_lhs.get(x, _EMPTY) & allowed
-        return (ELRItem(delta, (x,)),) if delta else ()
+        step = self._root.get(x)
+        if step is not None:
+            delta = step[1] & allowed
+            if delta:
+                return ((step[0], delta),)
+        return ()
 
     def advance(self, item, x):
-        delta = item.delta & self._nodes[item.alpha].cont.get(x, _EMPTY)
-        return ELRItem(delta, item.alpha + (x,)) if delta else None
+        node, delta = item
+        step = self._cont[node].get(x)
+        if step is not None:
+            delta &= step[1]
+            if delta:
+                return (step[0], delta)
+        return None
 
     def reducible(self, item):
-        delta = item.delta
-        return [x for x in self._nodes[item.alpha].complete_ordered if x in delta]
+        node, delta = item
+        return [a for a, bit in self._complete[node] if bit & delta]
 
     @staticmethod
     def join(old, new):
-        """The item for old's prefix with both sets merged, or None if new adds nothing."""
-        if new.delta <= old.delta:
+        """The code for old's prefix with both sets merged, or None if new adds nothing."""
+        if not new[1] & ~old[1]:
             return None
-        return ELRItem(old.delta | new.delta, old.alpha)
+        return (old[0], old[1] | new[1])
 
+    def encode(self, item):
+        idx = self._idx
+        node = idx.node_of.get(item.alpha) if isinstance(item, ELRItem) else None
+        ids = [idx.ids.get(s, -1) for s in item.delta] if node is not None else ()
+        if node is None or not all(0 <= k < len(idx.nonterminals) for k in ids):
+            raise KindMismatchError(f"{item!r} is not an ELRItem over a rule prefix of this grammar")
+        return (node, sum(1 << k for k in ids))
 
-def _prefix_corners(g: AugmentedGrammar) -> dict:
-    """Per rule prefix, the corners of every nonterminal that may follow it."""
-    return {alpha: g.idx.corners_of_any(node.cont_nt) for alpha, node in g.idx.nodes.items()}
+    def decode(self, code):
+        return self.decoder()(code)
+
+    def decoder(self):
+        """A decode function with its own cache, for one engine call."""
+        idx = self._idx
+        items: dict = {}
+        sets: dict = {}
+
+        def decode(code):
+            item = items.get(code)
+            if item is None:
+                node, delta = code
+                d = sets.get(delta)
+                if d is None:
+                    d = sets[delta] = idx.nonterminal_set(delta)
+                item = items[code] = ELRItem(d, idx.prefixes[node])
+            return item
+
+        return decode
 
 
 class PseudoELRKind(ELRKind):
@@ -260,35 +342,40 @@ class PseudoELRKind(ELRKind):
 
     def __init__(self, g: AugmentedGrammar):
         super().__init__(g)
-        self._allowed = _prefix_corners(g)
+        self._corners = g.idx.corners
 
     def allowed(self, item):
-        return self._allowed[item.alpha]
+        return self._corners[item[0]]
 
 
-class CPKind:
+class CPKind(_FiniteKind):
     """Bare prefixes: the filter and the clauses see only the prefix."""
 
     item_type = CPItem
 
     def __init__(self, g: AugmentedGrammar):
-        self._nodes = g.idx.nodes
-        self._first_lhs = g.idx.first_lhs
-        self._allowed = _prefix_corners(g)
-        self.init = CPItem(())
-        self.final = CPItem((g.base.start,))
+        idx = g.idx
+        self._cont = idx.cont
+        self._root = idx.cont[0]
+        self._corners = idx.corners
+        self._complete = idx.complete_ordered
+        self.init = 0
+        self.final = idx.node_of[(g.base.start,)]
+        self._publish({node: CPItem(alpha) for node, alpha in enumerate(idx.prefixes)})
 
     def allowed(self, item):
-        return self._allowed[item.alpha]
+        return self._corners[item]
 
     def start(self, x, allowed):
-        return () if self._first_lhs.get(x, _EMPTY).isdisjoint(allowed) else (CPItem((x,)),)
+        step = self._root.get(x)
+        return (step[0],) if step is not None and step[1] & allowed else ()
 
     def advance(self, item, x):
-        return CPItem(item.alpha + (x,)) if x in self._nodes[item.alpha].cont else None
+        step = self._cont[item].get(x)
+        return step[0] if step is not None else None
 
     def reducible(self, item):
-        return self._nodes[item.alpha].complete_ordered
+        return self._complete[item]
 
 
 _KINDS = {"lc": LCKind, "plr": PLRKind, "elr": ELRKind, "pseudo_elr": PseudoELRKind, "cp": CPKind}
@@ -299,3 +386,38 @@ def item_kind(algo: str, g: AugmentedGrammar):
     if algo not in _KINDS:
         raise ValueError(f"unknown algorithm {algo!r}")
     return g.memo(_KINDS[algo])
+
+
+def lc_items(g: AugmentedGrammar) -> frozenset[LCItem]:
+    """All dotted items; dot 0 is reserved for the fresh start rule."""
+    return frozenset(item_kind("lc", g).universe.values())
+
+
+def plr_items(g: AugmentedGrammar) -> frozenset[PLRItem]:
+    """Quotient of the dotted items by (lhs, recognized prefix)."""
+    return frozenset(item_kind("plr", g).universe.values())
+
+
+def cp_items(g: AugmentedGrammar) -> frozenset[CPItem]:
+    """All distinct rule prefixes, the empty prefix included."""
+    return frozenset(item_kind("cp", g).universe.values())
+
+
+def elr_item_is_valid(delta, alpha, g: AugmentedGrammar) -> bool:
+    """Membership test for the set-item universe, which is never enumerated.
+
+    The universe is exponential in the nonterminal count, so validity is
+    checked lazily for the items that actually materialize.
+    """
+    delta = frozenset(delta)
+    alpha = tuple(alpha)
+    idx = g.idx
+    node = idx.node_of.get(alpha)
+    if not delta or node is None:
+        return False
+    through = idx.complete[node]
+    for _, lhss in idx.cont[node].values():
+        through |= lhss
+    if not delta <= idx.nonterminal_set(through):
+        return False
+    return bool(alpha) or delta == frozenset({g.start_prime})

@@ -16,6 +16,12 @@ subderivation is represented by at most one item; it filters with the
 prediction set of each column, computed once.  predict_sets names that
 same schedule.  naive fires once per context item and keeps the items
 apart, as a redundancy baseline.
+
+The engine runs on item codes (see `items`).  Public items are built
+only for the result: `_result` decodes the cells, and every provenance
+entry carries its decoded item.  Every builder stops with
+`BudgetExhaustedError` before its chart would hold more than `budget`
+distinct items.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .grammar import AugmentedGrammar, Symbol, render_symbols
-from .items import ELRItem, item_kind, render_delta, render_item
+from .items import DEFAULT_BUDGET, BudgetExhaustedError, ELRItem, item_kind, render_delta, render_item
 
 
 class ColumnIncompleteError(Exception):
@@ -81,25 +87,26 @@ def _agenda(order: str, seed: int | None):
     return pop_random
 
 
-def _result(kind, g: AugmentedGrammar, n: int, pairs, prov) -> ChartResult:
-    """The chart of the distinct (cell, item) pairs; it accepts when an item
-    spanning the input completes the start rule."""
-    cells: dict[tuple[int, int], set] = {}
+def _result(kind, decode, g: AugmentedGrammar, n: int, pairs, prov) -> ChartResult:
+    """The chart of the distinct (cell, code) pairs, decoded; it accepts when
+    an item spanning the input completes the start rule."""
+    cells: dict[tuple[int, int], list] = {}
     for cell, item in pairs:
-        cells.setdefault(cell, set()).add(item)
-    sp = g.start_prime
+        cells.setdefault(cell, []).append(item)
+    sp = g.idx.ids[g.start_prime]
+    public = {cell: frozenset(map(decode, items)) for cell, items in cells.items()}
     return ChartResult(
-        chart=Chart(n=n, cells={cell: frozenset(items) for cell, items in cells.items()}, completed_through=n),
+        chart=Chart(n=n, cells=public, completed_through=n),
         accepted=any(sp in kind.reducible(item) for item in cells.get((0, n), ())),
         items_added=sum(len(items) for items in cells.values()),
         provenance=tuple(prov),
     )
 
 
-def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartResult:
+def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -> ChartResult:
     """The chart of one item kind, closed column by column.
 
-    Column i holds its items as [cell, item] records.  Clauses 1 and 2
+    Column i holds its items as [cell, code] records.  Clauses 1 and 2
     over column i - 1 seed it, and an agenda of its own records closes it:
     a record in cell (j, i) fires clauses 3 and 4 against the items of
     column j.  Validation rejects epsilon rules, so j < i for every record
@@ -109,27 +116,32 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartR
     fires once per item of k with its own filter, "union" once with the
     union of their filters, and None fires unfiltered.
     With `join`, a cell keeps one item per prefix and merges into it the
-    nonterminal sets of later set items.
+    nonterminal sets of later set items; set-item codes begin with the
+    prefix node.
     """
     kind = item_kind(algo, g)
     allowed, start, advance, reducible = kind.allowed, kind.start, kind.advance, kind.reducible
-    toks = g.tokens_to_symbols(tokens)
+    decode = kind.decoder()
+    toks = g.idx.token_ids(tokens)
     n = len(toks)
     pop = _agenda(agenda_order, seed)
     columns: list[list] = []
     cached: dict[int, list] = {}
     prov: list[ProvenanceEntry] = []
+    size = 0
 
     def filters(k: int):
         """(allowed, antecedent cells) pairs for clauses 1 and 3 at column k."""
         if contexts is None:
-            return ((g.nonterminals, ()),)
+            return ((g.idx.all_nonterminals, ()),)
         if k not in cached:
             col = columns[k]
             if contexts == "each":
                 cached[k] = [(allowed(item), (cell,)) for cell, item in col]
             else:
-                union = frozenset().union(*(allowed(item) for _, item in col))
+                union = 0
+                for _, item in col:
+                    union |= allowed(item)
                 cached[k] = [(union, tuple(dict.fromkeys(cell for cell, _ in col)))]
         return cached[k]
 
@@ -140,9 +152,13 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartR
         agenda: deque = deque()
 
         def add(j, item, clause, antecedents):
-            key = (j, item.alpha) if join else (j, item)
+            nonlocal size
+            key = (j, item[0]) if join else (j, item)
             rec = found.get(key)
             if rec is None:
+                if size >= budget:
+                    raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
+                size += 1
                 rec = found[key] = [(j, i), item]
                 col.append(rec)
             else:
@@ -152,7 +168,7 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartR
                 if item is None:
                     return
                 rec[1] = item
-            prov.append(ProvenanceEntry(clause, rec[0], item, antecedents))
+            prov.append(ProvenanceEntry(clause, rec[0], decode(item), antecedents))
             agenda.append(rec)
 
         if i == 0:
@@ -182,7 +198,7 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed) -> ChartR
                     if nxt is not None:
                         add(ctx_cell[0], nxt, 4, (cell, ctx_cell))
 
-    return _result(kind, g, n, (rec for col in columns for rec in col), prov)
+    return _result(kind, decode, g, n, (rec for col in columns for rec in col), prov)
 
 
 def tabular_cp(
@@ -191,6 +207,7 @@ def tabular_cp(
     td_filter: bool = True,
     agenda_order: str = "fifo",
     seed: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> ChartResult:
     """Least fixpoint of the bare-prefix clauses, seeded with [->] at (0,0).
 
@@ -199,10 +216,10 @@ def tabular_cp(
     left-corner check, which makes every row computable independently of
     the rows above it.
     """
-    return _column_chart(g, tokens, "cp", "union" if td_filter else None, False, agenda_order, seed)
+    return _column_chart(g, tokens, "cp", "union" if td_filter else None, False, agenda_order, seed, budget)
 
 
-def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens) -> ChartResult:
+def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> ChartResult:
     """Unfiltered chart computed one row at a time, highest start first.
 
     Without top-down filtering no cell depends on a cell with a smaller
@@ -211,24 +228,30 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens) -> ChartResult:
     """
     kind = item_kind("cp", g)
     start, advance, reducible = kind.start, kind.advance, kind.reducible
-    everything = g.nonterminals
-    toks = g.tokens_to_symbols(tokens)
+    decode = kind.decoder()
+    everything = g.idx.all_nonterminals
+    toks = g.idx.token_ids(tokens)
     n = len(toks)
     rows: dict[int, list] = {}
     prov: list[ProvenanceEntry] = []
+    size = 0
 
     for h in range(n, -1, -1):
-        row: list = []  # (cell, item, reducible) records of the cells (h, i)
+        row: list = []  # (cell, code, reducible) records of the cells (h, i)
         found: set = set()
         worklist: deque = deque()
 
         def add(i, item, clause, antecedents):
+            nonlocal size
             if (i, item) in found:
                 return
+            if size >= budget:
+                raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
+            size += 1
             found.add((i, item))
             rec = ((h, i), item, reducible(item))
             row.append(rec)
-            prov.append(ProvenanceEntry(clause, rec[0], item, antecedents))
+            prov.append(ProvenanceEntry(clause, rec[0], decode(item), antecedents))
             worklist.append(rec)
 
         if h == 0:
@@ -258,7 +281,8 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens) -> ChartResult:
                         add(red_cell[1], nxt, 4, (red_cell, cell))
         rows[h] = row
 
-    return _result(kind, g, n, ((cell, item) for row in rows.values() for cell, item, _ in row), prov)
+    pairs = ((cell, item) for row in rows.values() for cell, item, _ in row)
+    return _result(kind, decode, g, n, pairs, prov)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")
@@ -272,6 +296,7 @@ def tabular_elr(
     variant: str = "merged",
     agenda_order: str = "fifo",
     seed: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> ChartResult:
     """Column-ordered set-item chart.
 
@@ -286,23 +311,24 @@ def tabular_elr(
     if variant not in _ELR_SCHEDULES:
         raise ValueError(f"unknown variant {variant!r}")
     contexts, join = _ELR_SCHEDULES[variant]
-    return _column_chart(g, tokens, "elr", contexts, join, agenda_order, seed)
+    return _column_chart(g, tokens, "elr", contexts, join, agenda_order, seed, budget)
 
 
 def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
-    """Left corners of the nonterminals expected right after position i."""
+    """Left corners of the nonterminals expected right after position i.
+
+    The chart must hold set items over g's rule prefixes; any other item
+    raises `KindMismatchError`, a `TypeError`.
+    """
     if i > chart.completed_through:
         raise ColumnIncompleteError(f"column {i} is not complete (chart built through {chart.completed_through})")
     elr = item_kind("elr", g)
-    out: set[Symbol] = set()
+    mask = 0
     for (j, k), items in chart.cells.items():
-        if k != i:
-            continue
-        for item in items:
-            if not isinstance(item, ELRItem):
-                raise TypeError(f"prediction sets are defined for set-item charts, not {type(item).__name__}")
-            out |= elr.allowed(item)
-    return PredictSet(i=i, nonterminals=frozenset(out))
+        if k == i:
+            for item in items:
+                mask |= elr.allowed(elr.encode(item))
+    return PredictSet(i=i, nonterminals=g.idx.nonterminal_set(mask))
 
 
 def duplicate_alpha_cells(chart: Chart) -> int:

@@ -62,6 +62,23 @@ def test_successors_kind_mismatch(g1):
         successors("lc", g1, ["a"], cfg)
 
 
+def test_successors_reject_items_of_another_grammar(g1, overlap):
+    m_tok = term("m")
+    foreign = {
+        "lc": LCItem(overlap.base.rules[2], 1),
+        "plr": PLRItem(nonterm("M"), (m_tok,)),
+        "elr": ELRItem(frozenset({nonterm("M")}), (m_tok,)),
+        "pseudo_elr": ELRItem(frozenset({T}), (m_tok,)),
+        "cp": CPItem((m_tok,)),
+    }
+    for algo, item in foreign.items():
+        cfg = Configuration(initial_configuration(algo, g1).stack + (item,), 1)
+        with pytest.raises(KindMismatchError):
+            successors_with_clauses(algo, g1, ["a", "*"], cfg)
+        with pytest.raises(KindMismatchError):
+            successors(algo, g1, ["a", "*"], cfg)
+
+
 def test_recognize_examples(g1):
     assert recognize("lc", g1, ["a", "*", "a"]).accepted
     assert not recognize("cp", g1, ["a", "+", "a", "^", "a"]).accepted

@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cfrec import tabular
 from cfrec.automata import accepting_trace
 from cfrec.cli import render_trace, run_command
 from trace_parser import parse_trace_line
@@ -111,6 +112,21 @@ def test_budget_exit_code():
     code, out = run_command(["recognize", "--algo", "cp", "--budget", "3", G1, "--", "a", "+", "a"])
     assert code == 3
     assert out == "budget exhausted\n"
+
+
+def test_compare_budget_bounds_the_charts():
+    # 11 configurations truncate every stack engine, which only flags it;
+    # the naive chart needs 12 items and stops the command.
+    code, out = run_command(["compare", "--budget", "11", G1, "--", "a", "*", "a"])
+    assert (code, out) == (3, "budget exhausted\n")
+    code, out = run_command(["compare", "--budget", "12", G1, "--", "a", "*", "a"])
+    assert code == 3 and out.startswith("algo") and out.endswith("budget exhausted\n")
+
+
+def test_table_maps_the_chart_budget_to_exit_3(monkeypatch):
+    full = tabular.tabular_cp
+    monkeypatch.setattr(tabular, "tabular_cp", lambda g, t, **kw: full(g, t, budget=3, **kw))
+    assert run_command(["table", "--algo", "cp", G1, "--", "a", "*", "a"]) == (3, "budget exhausted\n")
 
 
 def test_output_is_deterministic():

@@ -1,3 +1,5 @@
+import itertools
+
 from cfrec.grammar import augment, nonterm, parse_grammar, term
 from cfrec.items import (
     CPItem,
@@ -6,10 +8,15 @@ from cfrec.items import (
     PLRItem,
     cp_items,
     elr_item_is_valid,
+    item_kind,
     lc_items,
     plr_items,
     render_item,
 )
+from cfrec.random_grammars import random_validated_grammars
+from cfrec.tabular import tabular_elr
+
+from conftest import load_grammar
 
 E, T, F = nonterm("E"), nonterm("T"), nonterm("F")
 
@@ -101,3 +108,32 @@ def test_rendering(g1):
     assert render_item(ELRItem(frozenset([T, E]), (T,))) == "[{E,T} -> T]"
     assert render_item(CPItem((T, term("^")))) == "[-> T '^']"
     assert render_item(CPItem(())) == "[->]"
+
+
+def _round_trip_corpus():
+    yield load_grammar("g1.cfg")
+    yield load_grammar("overlap.cfg")
+    yield load_grammar("pseudo_trap.cfg")
+    for g in random_validated_grammars(20260810, 6):
+        yield augment(g)
+
+
+def test_codes_round_trip_every_item():
+    for g in _round_trip_corpus():
+        for algo, universe in (("lc", lc_items), ("plr", plr_items), ("cp", cp_items)):
+            kind = item_kind(algo, g)
+            items = universe(g)
+            codes = {kind.encode(item) for item in items}
+            assert len(codes) == len(items)
+            assert all(kind.decode(kind.encode(item)) == item for item in items)
+        elr = item_kind("elr", g)
+        names = sorted(t.name for t in g.terminals)
+        checked = 0
+        for n in range(5):
+            for tokens in itertools.product(names, repeat=n):
+                for variant in ("merged", "naive"):
+                    for items in tabular_elr(g, tokens, variant=variant).chart.cells.values():
+                        for item in items:
+                            assert elr.decode(elr.encode(item)) == item
+                            checked += 1
+        assert checked > 0

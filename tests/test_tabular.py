@@ -1,6 +1,7 @@
 import pytest
 
 from cfrec.grammar import nonterm, term
+from cfrec import BudgetExhaustedError, KindMismatchError
 from cfrec.items import CPItem, ELRItem
 from cfrec.oracle import derives
 from pathlib import Path
@@ -183,6 +184,33 @@ def test_predict_set_rejects_bare_prefix_charts(g1):
     res = tabular_cp(g1, ["a"])
     with pytest.raises(TypeError):
         predict_set(res.chart, g1, 1)
+
+
+def test_predict_set_rejects_set_items_off_the_rule_prefixes(g1):
+    a = term("a")
+    chart = Chart(n=2, cells={(0, 2): frozenset({ELRItem(frozenset({F}), (a, a))})}, completed_through=2)
+    with pytest.raises(TypeError) as err:
+        predict_set(chart, g1, 2)
+    assert isinstance(err.value, KindMismatchError)
+
+
+CHART_BUILDERS = {
+    "cp": lambda g, t, **kw: tabular_cp(g, t, **kw),
+    "cp-nofilter": lambda g, t, **kw: tabular_cp(g, t, td_filter=False, **kw),
+    "cp-rows": lambda g, t, **kw: tabular_cp_unfiltered_by_rows(g, t, **kw),
+    "elr": lambda g, t, **kw: tabular_elr(g, t, variant="merged", **kw),
+    "elr-naive": lambda g, t, **kw: tabular_elr(g, t, variant="naive", **kw),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(CHART_BUILDERS))
+def test_chart_item_budget(g1, builder):
+    build = CHART_BUILDERS[builder]
+    tokens = ["a", "*", "a", "+", "a"]
+    full = build(g1, tokens)
+    assert build(g1, tokens, budget=full.items_added) == full
+    with pytest.raises(BudgetExhaustedError):
+        build(g1, tokens, budget=full.items_added - 1)
 
 
 def test_empty_input_charts(g1):

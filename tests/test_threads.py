@@ -7,9 +7,9 @@ they also race to fill its lazily built tables.
 import sys
 import threading
 
-from cfrec.automata import ALGORITHMS, recognize
+from cfrec.automata import ALGORITHMS, accepting_trace, initial_configuration, recognize, successors_with_clauses
 from cfrec.oracle import derives, viable_prefix
-from cfrec.tabular import ELR_VARIANTS, tabular_cp, tabular_elr
+from cfrec.tabular import ELR_VARIANTS, tabular_cp, tabular_cp_unfiltered_by_rows, tabular_elr
 
 from conftest import load_grammar
 
@@ -21,7 +21,13 @@ def _run_all(g):
     out = []
     for tokens in INPUTS:
         out.append([recognize(algo, g, tokens) for algo in ALGORITHMS])
+        for algo in ALGORITHMS:
+            trace = accepting_trace(algo, g, tokens)
+            out.append(trace)
+            steps = [initial_configuration(algo, g)] if trace is None else [trace.initial] + [c for _, c in trace.steps]
+            out.append([successors_with_clauses(algo, g, tokens, cfg) for cfg in steps])
         out.append(tabular_cp(g, tokens))
+        out.append(tabular_cp_unfiltered_by_rows(g, tokens))
         out.append([tabular_elr(g, tokens, variant=v) for v in ELR_VARIANTS])
         out.append((derives(g, tokens), viable_prefix(g, tokens)))
     return out
