@@ -65,20 +65,21 @@ def final_item(algo: str, g: AugmentedGrammar):
     return kind.decode(kind.final)
 
 
-def _successors(kind, toks, cfg):
-    """The four clauses on one (stack, pos) of codes, in clause then rule order."""
+def _successors(kind, toks, cfg) -> dict:
+    """The four clauses on one (stack, pos) of codes: each distinct successor
+    once, mapped to the clause that first produced it, in clause then rule order."""
     stack, pos = cfg
     top = stack[-1]
-    out = []
+    out: dict = {}
     if pos < len(toks):
         a = toks[pos]
         allowed = kind.allowed(top)
         if allowed:
             for item in kind.start(a, allowed):
-                out.append((1, (stack + (item,), pos + 1)))
+                out.setdefault((stack + (item,), pos + 1), 1)
         item = kind.advance(top, a)
         if item is not None:
-            out.append((2, (stack[:-1] + (item,), pos + 1)))
+            out.setdefault((stack[:-1] + (item,), pos + 1), 2)
     if len(stack) >= 2:
         reducible = kind.reducible(top)
         if reducible:
@@ -86,11 +87,11 @@ def _successors(kind, toks, cfg):
             allowed = kind.allowed(below)
             for a_lhs in reducible if allowed else ():
                 for item in kind.start(a_lhs, allowed):
-                    out.append((3, (stack[:-1] + (item,), pos)))
+                    out.setdefault((stack[:-1] + (item,), pos), 3)
             for a_lhs in reducible:
                 item = kind.advance(below, a_lhs)
                 if item is not None:
-                    out.append((4, (stack[:-2] + (item,), pos)))
+                    out.setdefault((stack[:-2] + (item,), pos), 4)
     return out
 
 
@@ -106,15 +107,9 @@ def successors_with_clauses(algo, g, tokens, cfg) -> tuple[tuple[int, Configurat
     if not cfg.stack:
         raise KindMismatchError(f"empty configuration stack (algo {algo!r})")
     code = (tuple(map(kind.encode, cfg.stack)), cfg.pos)
-    toks = g.idx.token_ids(tokens)
     decode = kind.decoder()
-    seen = set()
-    out = []
-    for clause, conf in _successors(kind, toks, code):
-        if conf not in seen:
-            seen.add(conf)
-            out.append((clause, _decode_configuration(decode, conf)))
-    return tuple(out)
+    succ = _successors(kind, g.idx.token_ids(tokens), code)
+    return tuple((clause, _decode_configuration(decode, conf)) for conf, clause in succ.items())
 
 
 def successors(algo, g, tokens, cfg) -> tuple[Configuration, ...]:
@@ -129,40 +124,34 @@ class Exploration:
     max_frontier: int
     choice_points: int
     budget_exhausted: bool
-    parents: dict | None
-    accept_configuration: Configuration | None
 
 
-def _search(kind, toks, budget: int, keep_parents: bool = False, stop_on_accept: bool = False) -> Exploration:
+def _search(kind, toks, budget: int, parents: dict | None = None) -> Exploration:
     """Breadth-first search over distinct configurations of codes.
 
-    The configurations in the result, in `visited`, `parents` and
-    `accept_configuration`, are (stack of codes, pos) pairs.
+    The configurations in `visited` are (stack of codes, pos) pairs.  Given
+    a `parents` dict, the search records there each configuration's
+    (parent, clause) link, the initial one's None, and stops at acceptance.
     """
     n = len(toks)
     init = ((kind.init,), 0)
     fin = ((kind.final,), n)
     visited = {init}
-    parents: dict | None = {init: None} if keep_parents else None
+    if parents is not None:
+        parents[init] = None
     queue = deque([init])
     accepted = init == fin
     choice_points = 0
     max_frontier = 1
     truncated = False
     while queue:
-        if accepted and stop_on_accept:
+        if accepted and parents is not None:
             break
         cfg = queue.popleft()
-        raw = _successors(kind, toks, cfg)
-        distinct = []
-        seen_here = set()
-        for clause, conf in raw:
-            if conf not in seen_here:
-                seen_here.add(conf)
-                distinct.append((clause, conf))
-        if len(distinct) >= 2:
+        succ = _successors(kind, toks, cfg)
+        if len(succ) >= 2:
             choice_points += 1
-        for clause, conf in distinct:
+        for conf, clause in succ.items():
             if conf in visited:
                 continue
             if len(visited) >= budget:
@@ -185,19 +174,10 @@ def _search(kind, toks, budget: int, keep_parents: bool = False, stop_on_accept:
         max_frontier=max_frontier,
         choice_points=choice_points,
         budget_exhausted=truncated and not accepted,
-        parents=parents,
-        accept_configuration=fin if accepted else None,
     )
 
 
-def explore(
-    algo: str,
-    g: AugmentedGrammar,
-    tokens,
-    budget: int = DEFAULT_BUDGET,
-    keep_parents: bool = False,
-    stop_on_accept: bool = False,
-) -> Exploration:
+def explore(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> Exploration:
     """Breadth-first search over distinct configurations.
 
     The full reachable space is explored (subject to the budget on the
@@ -205,16 +185,9 @@ def explore(
     accepting configuration happens to sit in the search order.
     """
     kind = item_kind(algo, g)
-    ex = _search(kind, g.idx.token_ids(tokens), budget, keep_parents, stop_on_accept)
+    ex = _search(kind, g.idx.token_ids(tokens), budget)
     decode = kind.decoder()
-    public = {cfg: _decode_configuration(decode, cfg) for cfg in ex.visited}
-    ex.visited = set(public.values())
-    if ex.parents is not None:
-        ex.parents = {
-            public[cfg]: None if link is None else (public[link[0]], link[1]) for cfg, link in ex.parents.items()
-        }
-    if ex.accept_configuration is not None:
-        ex.accept_configuration = public[ex.accept_configuration]
+    ex.visited = {_decode_configuration(decode, cfg) for cfg in ex.visited}
     return ex
 
 
@@ -237,17 +210,18 @@ def accepting_trace(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAUL
     rule order within a clause.
     """
     kind = item_kind(algo, g)
-    ex = _search(kind, g.idx.token_ids(tokens), budget, keep_parents=True, stop_on_accept=True)
+    toks = g.idx.token_ids(tokens)
+    parents: dict = {}
+    ex = _search(kind, toks, budget, parents)
     if not ex.accepted:
         if ex.budget_exhausted:
             raise BudgetExhaustedError(f"visited-set budget {budget} exhausted before acceptance")
         return None
-    assert ex.parents is not None
     decode = kind.decoder()
     chain = []
-    cur = ex.accept_configuration
+    cur = ((kind.final,), len(toks))
     while True:
-        link = ex.parents[cur]
+        link = parents[cur]
         if link is None:
             break
         prev, clause = link

@@ -26,15 +26,16 @@ from .grammar import (
 from .items import render_item
 from .oracle import LimitExceededError
 
-_ALGO_CLI_TO_INTERNAL = {
-    "lc": "lc",
-    "plr": "plr",
-    "elr": "elr",
-    "pseudo-elr": "pseudo_elr",
-    "cp": "cp",
-}
+_ALGO_CLI_TO_INTERNAL = {algo.replace("_", "-"): algo for algo in automata.ALGORITHMS}
 
-_TABLE_ALGOS = ("cp", "cp-nofilter", "elr", "elr-si", "elr-naive")
+# The builders look their function up on the `tabular` module at each call, so one replaced there is the one run.
+_TABLE_BUILDERS = {
+    "cp": lambda g, tokens: tabular.tabular_cp(g, tokens, td_filter=True),
+    "cp-nofilter": lambda g, tokens: tabular.tabular_cp(g, tokens, td_filter=False),
+    "elr": lambda g, tokens: tabular.tabular_elr(g, tokens, variant="merged"),
+    "elr-si": lambda g, tokens: tabular.tabular_elr(g, tokens, variant="predict_sets"),
+    "elr-naive": lambda g, tokens: tabular.tabular_elr(g, tokens, variant="naive"),
+}
 
 
 class _UsageError(Exception):
@@ -67,7 +68,7 @@ def _build_parser() -> _ArgumentParser:
     sp.set_defaults(func=_cmd_recognize)
 
     sp = sub.add_parser("table", help="run a tabular recognizer and dump the chart")
-    sp.add_argument("--algo", required=True, choices=_TABLE_ALGOS)
+    sp.add_argument("--algo", required=True, choices=tuple(_TABLE_BUILDERS))
     sp.add_argument("--allow-cyclic", action="store_true")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_table)
@@ -160,23 +161,9 @@ def _cmd_recognize(args, tokens):
     return (0 if result.accepted else 1), ("accepted" if result.accepted else "rejected") + "\n"
 
 
-def _table_result(algo: str, g: AugmentedGrammar, tokens) -> tabular.ChartResult:
-    if algo == "cp":
-        return tabular.tabular_cp(g, tokens, td_filter=True)
-    if algo == "cp-nofilter":
-        return tabular.tabular_cp(g, tokens, td_filter=False)
-    if algo == "elr":
-        return tabular.tabular_elr(g, tokens, variant="merged")
-    if algo == "elr-si":
-        return tabular.tabular_elr(g, tokens, variant="predict_sets")
-    if algo == "elr-naive":
-        return tabular.tabular_elr(g, tokens, variant="naive")
-    raise ValueError(algo)
-
-
 def _cmd_table(args, tokens):
     g = _load(args.file, args.allow_cyclic)
-    result = _table_result(args.algo, g, tokens)
+    result = _TABLE_BUILDERS[args.algo](g, tokens)
     return (0 if result.accepted else 1), tabular.render_chart_dump(result, args.algo)
 
 
@@ -199,8 +186,8 @@ class CompareReport:
 def build_compare_report(g: AugmentedGrammar, tokens, budget=automata.DEFAULT_BUDGET, with_oracle=False) -> CompareReport:
     rows = []
     exhausted = False
-    for cli_name in ("lc", "plr", "elr", "pseudo-elr", "cp"):
-        res = automata.recognize(_ALGO_CLI_TO_INTERNAL[cli_name], g, tokens, budget=budget)
+    for cli_name, algo in _ALGO_CLI_TO_INTERNAL.items():
+        res = automata.recognize(algo, g, tokens, budget=budget)
         exhausted = exhausted or res.budget_exhausted
         rows.append(CompareRow(cli_name, res.accepted, res.configurations_explored, res.choice_points, None))
     tab_cp = tabular.tabular_cp(g, tokens, td_filter=True, budget=budget)
@@ -272,13 +259,9 @@ def run_command(argv) -> tuple[int, str]:
         return args.func(args, tokens)
     except _UsageError as e:
         return 2, str(e) + ("\n" if not str(e).endswith("\n") else "")
-    except FileNotFoundError as e:
-        return 2, f"error: {e}\n"
     except automata.BudgetExhaustedError:
         return 3, "budget exhausted\n"
-    except LimitExceededError as e:
-        return 2, f"error: {e}\n"
-    except GrammarError as e:
+    except (FileNotFoundError, LimitExceededError, GrammarError) as e:
         return 2, f"error: {e}\n"
 
 

@@ -389,13 +389,14 @@ class _GrammarIndex:
     ``complete[node]`` is the mask of those the prefix completes and
     ``complete_ordered[node]`` the same ids in rule order; ``cont[0][x]``
     is thus the node of (x,) and the first-symbol mask of x.  ``lc_star[c]``
-    is the mask of the left corners of nonterminal c, and ``corners[node]``
-    the union of ``lc_star`` over the nonterminals that may follow the
-    prefix.  The engines run on these tables alone.
+    is the mask of the left corners of nonterminal c under
+    `left_corner_star`, and ``corners[node]`` the union of ``lc_star``
+    over the nonterminals that may follow the prefix.  The engines run on
+    these tables alone.
     """
 
     def __init__(self, aug: "AugmentedGrammar"):
-        self.nonterminals = aug.base.nonterminals | {aug.start_prime}
+        self.nonterminals = aug.nonterminals
         terminals = aug.base.terminals
         self.symbols: tuple[Symbol, ...] = tuple(sorted(self.nonterminals)) + tuple(sorted(terminals))
         self.ids = {s: k for k, s in enumerate(self.symbols)}
@@ -435,22 +436,9 @@ class _GrammarIndex:
         self.complete_ordered = [tuple(ids) for ids in complete_ordered]
         self.complete = [sum(1 << a for a in ids) for ids in complete_ordered]
 
-        # D is a left corner of C iff C can start a derivation whose leftmost
-        # symbol chain reaches D; reflexive over every nonterminal.
-        corner_edges: list[set[int]] = [set() for _ in range(n_nt)]
-        for lhs, rhs in zip(self.lhs, self.rhs):
-            if rhs[0] < n_nt:
-                corner_edges[lhs].add(rhs[0])
-        self.lc_star: list[int] = []
-        for c in range(n_nt):
-            seen = {c}
-            frontier = [c]
-            while frontier:
-                for y in corner_edges[frontier.pop()]:
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            self.lc_star.append(sum(1 << d for d in seen))
+        self.lc_star = [0] * n_nt
+        for b, a in left_corner_star(left_corner(aug), aug).pairs:
+            self.lc_star[self.ids[a]] |= 1 << self.ids[b]
         self.corners = [0] * len(self.prefixes)
         for node, cont in enumerate(self.cont):
             for c in cont:
@@ -503,7 +491,7 @@ class AugmentedGrammar:
 
     @property
     def nonterminals(self) -> frozenset[Symbol]:
-        return self.idx.nonterminals
+        return self.base.nonterminals | {self.start_prime}
 
     @property
     def terminals(self) -> frozenset[Symbol]:

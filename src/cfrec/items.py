@@ -32,9 +32,18 @@ public item classes: a symbol is an int id, a nonterminal set an int mask
 and a rule prefix a trie node id.  The codes are
 
 - lc: ``(rule id, dot)``;
-- plr: ``(lhs id, prefix node)``;
-- elr and pseudo_elr: ``(prefix node, lhs mask)``;
+- plr, elr and pseudo_elr: ``(prefix node, lhs mask)``;
 - cp: ``prefix node``.
+
+plr and pseudo_elr are set-item kinds.  A prefix item [A -> alpha] is
+the set item [{A} -> alpha], so `PLRKind` is `ELRKind` with its own
+``start``, which splits the allowed left-hand sides into one item each;
+`PseudoELRKind` is `ELRKind` with the simplified filter.  lc and cp keep
+their own codes.  A dotted item is finer than any set item: it tells
+apart rules of one left-hand side that share a prefix.  A bare prefix is
+the set item of every left-hand side through its node, but the node id
+alone says as much and hashes as one int, where a pair would make every
+visited-set check of the stack engine hash nested tuples.
 
 A kind's ``encode`` and ``decode`` map between codes and the public
 `LCItem`, `PLRItem`, `ELRItem` and `CPItem`; the engines call them only
@@ -203,54 +212,6 @@ class LCKind(_FiniteKind):
         return self._reducible[r][dot]
 
 
-class PLRKind(_FiniteKind):
-    """Prefix items: one item per left-hand side and recognized prefix."""
-
-    item_type = PLRItem
-
-    def __init__(self, g: AugmentedGrammar):
-        idx = g.idx
-        n_nt = len(idx.nonterminals)
-        self._cont = idx.cont
-        self._complete = idx.complete
-        # Per first symbol: its left-hand sides in rule order, each once.
-        self._start = {
-            x: tuple((lhs, 1 << lhs, (lhs, idx.cont[0][x][0])) for lhs in dict.fromkeys(idx.lhs[r] for r in rs))
-            for x, rs in idx.rules_by_first.items()
-        }
-        sp = idx.ids[g.start_prime]
-        self.init = (sp, 0)
-        self.final = (sp, idx.node_of[(g.base.start,)])
-        self._publish(
-            {
-                (idx.lhs[r], idx.node_of[rule.rhs[:dot]]): PLRItem(rule.lhs, rule.rhs[:dot])
-                for r, rule, dot in _dotted(g)
-            }
-        )
-        self._allowed = {}
-        for lhs, node in self.universe:
-            corners = 0
-            for c, (_, lhss) in idx.cont[node].items():
-                if c < n_nt and lhss >> lhs & 1:
-                    corners |= idx.lc_star[c]
-            self._allowed[lhs, node] = corners
-
-    def allowed(self, item):
-        return self._allowed[item]
-
-    def start(self, x, allowed):
-        return [code for _, bit, code in self._start.get(x, ()) if bit & allowed]
-
-    def advance(self, item, x):
-        lhs, node = item
-        step = self._cont[node].get(x)
-        return (lhs, step[0]) if step is not None and step[1] >> lhs & 1 else None
-
-    def reducible(self, item):
-        lhs, node = item
-        return (lhs,) if self._complete[node] >> lhs & 1 else ()
-
-
 class ELRKind:
     """Set items: every clause instance yields at most one item."""
 
@@ -335,6 +296,36 @@ class ELRKind:
             return item
 
         return decode
+
+
+class PLRKind(_FiniteKind, ELRKind):
+    """Prefix items: the set items whose set is one left-hand side.
+
+    Only ``start`` differs from ELR: it splits the allowed left-hand sides
+    into one item each, in rule order.  The filter values are ELR's,
+    tabulated over the finite universe.
+    """
+
+    item_type = PLRItem
+
+    def __init__(self, g: AugmentedGrammar):
+        super().__init__(g)
+        idx = g.idx
+        # Per first symbol: one (lhs bit, code) per left-hand side, in rule order.
+        self._start = {
+            x: tuple((1 << lhs, (idx.cont[0][x][0], 1 << lhs)) for lhs in dict.fromkeys(idx.lhs[r] for r in rs))
+            for x, rs in idx.rules_by_first.items()
+        }
+        self._publish(
+            {
+                (idx.node_of[rule.rhs[:dot]], 1 << idx.lhs[r]): PLRItem(rule.lhs, rule.rhs[:dot])
+                for r, rule, dot in _dotted(g)
+            }
+        )
+        self.allowed = {code: ELRKind.allowed(self, code) for code in self.universe}.__getitem__
+
+    def start(self, x, allowed):
+        return [code for bit, code in self._start.get(x, ()) if bit & allowed]
 
 
 class PseudoELRKind(ELRKind):

@@ -25,6 +25,7 @@ _T_NAMES = ("a", "b", "c")
 MAX_NONTERMINALS = 6
 MAX_RULES = 10
 MAX_RHS_LEN = 3
+MAX_START_YIELD = 6
 
 
 def _candidate(rng: random.Random) -> Grammar:
@@ -54,7 +55,7 @@ def _candidate(rng: random.Random) -> Grammar:
     )
 
 
-def random_validated_grammars(seed: int, count: int, max_start_yield: int = 6) -> list[Grammar]:
+def random_validated_grammars(seed: int, count: int) -> list[Grammar]:
     """Deterministic list of validated, productive random grammars."""
     rng = random.Random(seed)
     out: list[Grammar] = []
@@ -68,7 +69,7 @@ def random_validated_grammars(seed: int, count: int, max_start_yield: int = 6) -
         if any(d.code == "UNPRODUCTIVE_NONTERMINAL" for d in report.warnings()):
             continue
         y = min_yields(g).get(g.start)
-        if y is None or y > max_start_yield:
+        if y is None or y > MAX_START_YIELD:
             continue
         out.append(g)
     return out

@@ -59,7 +59,6 @@ class ProvenanceEntry:
     clause: int
     cell: tuple[int, int]
     item: object
-    antecedent_cells: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,18 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
     size = 0
 
     def filters(k: int):
-        """(allowed, antecedent cells) pairs for clauses 1 and 3 at column k."""
+        """The allowed masks for clauses 1 and 3 at column k."""
         if contexts is None:
-            return ((g.idx.all_nonterminals, ()),)
+            return (g.idx.all_nonterminals,)
         if k not in cached:
             col = columns[k]
             if contexts == "each":
-                cached[k] = [(allowed(item), (cell,)) for cell, item in col]
+                cached[k] = [allowed(item) for _, item in col]
             else:
                 union = 0
                 for _, item in col:
                     union |= allowed(item)
-                cached[k] = [(union, tuple(dict.fromkeys(cell for cell, _ in col)))]
+                cached[k] = [union]
         return cached[k]
 
     for i in range(n + 1):
@@ -151,7 +150,7 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
         found: dict = {}
         agenda: deque = deque()
 
-        def add(j, item, clause, antecedents):
+        def add(j, item, clause):
             nonlocal size
             key = (j, item[0]) if join else (j, item)
             rec = found.get(key)
@@ -168,35 +167,35 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
                 if item is None:
                     return
                 rec[1] = item
-            prov.append(ProvenanceEntry(clause, rec[0], decode(item), antecedents))
+            prov.append(ProvenanceEntry(clause, rec[0], decode(item)))
             agenda.append(rec)
 
         if i == 0:
-            add(0, kind.init, 0, ())
+            add(0, kind.init, 0)
         else:
             a = toks[i - 1]
-            for ok, antecedents in filters(i - 1):
+            for ok in filters(i - 1):
                 for item in start(a, ok):
-                    add(i - 1, item, 1, antecedents)
+                    add(i - 1, item, 1)
             for cell, item in columns[i - 1]:
                 nxt = advance(item, a)
                 if nxt is not None:
-                    add(cell[0], nxt, 2, (cell,))
+                    add(cell[0], nxt, 2)
         while agenda:
             cell, item = pop(agenda)
             completes = reducible(item)
             if not completes:
                 continue
             j = cell[0]
-            for ok, antecedents in filters(j):
+            for ok in filters(j):
                 for a_lhs in completes:
                     for nxt in start(a_lhs, ok):
-                        add(j, nxt, 3, (cell,) + antecedents)
+                        add(j, nxt, 3)
             for ctx_cell, ctx in columns[j]:
                 for a_lhs in completes:
                     nxt = advance(ctx, a_lhs)
                     if nxt is not None:
-                        add(ctx_cell[0], nxt, 4, (cell, ctx_cell))
+                        add(ctx_cell[0], nxt, 4)
 
     return _result(kind, decode, g, n, (rec for col in columns for rec in col), prov)
 
@@ -241,7 +240,7 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
         found: set = set()
         worklist: deque = deque()
 
-        def add(i, item, clause, antecedents):
+        def add(i, item, clause):
             nonlocal size
             if (i, item) in found:
                 return
@@ -251,34 +250,34 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
             found.add((i, item))
             rec = ((h, i), item, reducible(item))
             row.append(rec)
-            prov.append(ProvenanceEntry(clause, rec[0], decode(item), antecedents))
+            prov.append(ProvenanceEntry(clause, rec[0], decode(item)))
             worklist.append(rec)
 
         if h == 0:
-            add(0, kind.init, 0, ())
+            add(0, kind.init, 0)
         if h < n:
             for item in start(toks[h], everything):
-                add(h + 1, item, 1, ())
+                add(h + 1, item, 1)
         while worklist:
             cell, item, completes = worklist.popleft()
             i = cell[1]
             if i < n:
                 nxt = advance(item, toks[i])
                 if nxt is not None:
-                    add(i + 1, nxt, 2, (cell,))
+                    add(i + 1, nxt, 2)
             for a_lhs in completes:
                 for nxt in start(a_lhs, everything):
-                    add(i, nxt, 3, (cell,))
+                    add(i, nxt, 3)
                 # As the reduction: the only context in its own row is the seed.
                 nxt = advance(kind.init, a_lhs) if h == 0 else None
                 if nxt is not None:
-                    add(i, nxt, 4, (cell, (0, 0)))
+                    add(i, nxt, 4)
             # As the context: the reductions that start where it ends, in a finished row.
             for red_cell, _, red_completes in rows[i] if i > h else ():
                 for a_lhs in red_completes:
                     nxt = advance(item, a_lhs)
                     if nxt is not None:
-                        add(red_cell[1], nxt, 4, (red_cell, cell))
+                        add(red_cell[1], nxt, 4)
         rows[h] = row
 
     pairs = ((cell, item) for row in rows.values() for cell, item, _ in row)

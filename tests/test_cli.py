@@ -1,8 +1,9 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
-from cfrec import tabular
+from cfrec import automata, tabular
 from cfrec.automata import accepting_trace
 from cfrec.cli import render_trace, run_command
 from trace_parser import parse_trace_line
@@ -59,6 +60,20 @@ def test_compare_report(g1):
 def test_compare_rejected_exit_code():
     code, _ = run_command(["compare", G1, "--", "a", "+", "a", "^", "a"])
     assert code == 1
+
+
+def test_compare_exits_2_when_recognizers_disagree(monkeypatch):
+    real = automata.recognize
+
+    def plr_flipped(algo, g, tokens, **kw):
+        res = real(algo, g, tokens, **kw)
+        return dataclasses.replace(res, accepted=not res.accepted) if algo == "plr" else res
+
+    monkeypatch.setattr(automata, "recognize", plr_flipped)
+    code, out = run_command(["compare", G1, "--", "a", "*", "a"])
+    assert code == 2
+    assert out.startswith("algo") and out.endswith("error: recognizers disagree\n")
+    assert out.splitlines()[2].split()[:2] == ["plr", "no"]
 
 
 def test_sentences():

@@ -7,6 +7,7 @@ from cfrec.grammar import (
     InvalidGrammarError,
     Relation,
     Rule,
+    Symbol,
     augment,
     common_prefix_pairs,
     left_corner,
@@ -111,6 +112,39 @@ def test_validate_undeclared_symbol():
     report = validate(g)
     assert not report.ok
     assert any(d.code == "UNDECLARED_SYMBOL" for d in report.diagnostics)
+
+
+def test_validate_name_declared_as_terminal_and_nonterminal():
+    g = Grammar(
+        terminals=frozenset({term("a")}),
+        nonterminals=frozenset({nonterm("S"), nonterm("a")}),
+        rules=(Rule(nonterm("S"), (term("a"),)),),
+        start=nonterm("S"),
+    )
+    report = validate(g)
+    assert not report.ok
+    assert [d.message for d in report.errors()] == ["name 'a' is declared both as terminal and nonterminal"]
+
+
+def test_validate_undeclared_rule_lhs():
+    g = Grammar(
+        terminals=frozenset({term("a")}),
+        nonterminals=frozenset({nonterm("S")}),
+        rules=(Rule(nonterm("S"), (term("a"),)), Rule(nonterm("X"), (term("a"),)), Rule(term("a"), (term("a"),))),
+        start=nonterm("S"),
+    )
+    report = validate(g)
+    assert not report.ok
+    assert [(d.code, d.subject) for d in report.errors()] == [("UNDECLARED_SYMBOL", "X"), ("UNDECLARED_SYMBOL", "a")]
+    assert report.errors()[0].message == "rule lhs 'X' is not a declared nonterminal"
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("token", "a"), ("terminal", ""), ("nonterminal", "A B"), ("nonterminal", "A\t")]
+)
+def test_symbol_rejects_a_bad_kind_or_name(kind, name):
+    with pytest.raises(ValueError):
+        Symbol(kind, name)
 
 
 def test_validate_epsilon_rule():
