@@ -17,18 +17,30 @@ prediction set of each column, computed once.  predict_sets names that
 same schedule.  naive fires once per context item and keeps the items
 apart, as a redundancy baseline.
 
+Clauses 3 and 4 of an item in cell (j, i) read only j, the left-hand
+side A it completes, the filters of column j and the items of column j,
+which is closed.  So each column reduces each (j, A) once: a later item
+that completes A from j could only re-add what the first one added, and
+is skipped.  Clause 4 reads, per closed column j and nonterminal A, the
+list of (start, ``advance(context, A)``) over the contexts of column j,
+built on first use.  The row-wise builder keeps the distinct (end, A)
+reductions of each finished row for the same reason.
+
 The engine runs on item codes (see `items`).  Public items are built
-only for the result: `_result` decodes the cells, and every provenance
-entry carries its decoded item.  Every builder stops with
-`BudgetExhaustedError` before its chart would hold more than `budget`
-distinct items.
+only for the result: `_result` decodes the cells, each distinct set of
+codes once, and provenance is kept as (clause, cell, code) firings and
+decoded on first read.  Every builder stops with `BudgetExhaustedError`
+before its chart would hold more than `budget` distinct items.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .grammar import AugmentedGrammar, Symbol, render_symbols
 from .items import DEFAULT_BUDGET, BudgetExhaustedError, ELRItem, item_kind, render_delta, render_item
@@ -61,12 +73,46 @@ class ProvenanceEntry:
     item: object
 
 
-@dataclass(frozen=True)
+_DECODING = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
 class ChartResult:
+    """A chart, its verdict, and the clause firings that built it.
+
+    `provenance` has one entry per firing that added an item or grew its
+    set, in firing order.  The builder keeps the firings as (clause, cell,
+    code) triples; they are decoded once, on first read, under a lock, so
+    every thread reads the same tuple.
+    """
+
     chart: Chart
     accepted: bool
     items_added: int
-    provenance: tuple[ProvenanceEntry, ...]
+    _firings: tuple = field(repr=False)  # (decode, [(clause, cell, code), ...]) until decoded
+
+    @property
+    def provenance(self) -> tuple[ProvenanceEntry, ...]:
+        entries = self.__dict__.get("_provenance")
+        if entries is None:
+            with _DECODING:
+                entries = self.__dict__.get("_provenance")
+                if entries is None:
+                    decode, firings = self._firings
+                    entries = tuple(ProvenanceEntry(c, cell, decode(code)) for c, cell, code in firings)
+                    object.__setattr__(self, "_provenance", entries)
+                    object.__setattr__(self, "_firings", None)
+        return entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chart, self.accepted, self.items_added, self.provenance) == (
+            other.chart,
+            other.accepted,
+            other.items_added,
+            other.provenance,
+        )
 
 
 def _agenda(order: str, seed: int | None):
@@ -86,19 +132,27 @@ def _agenda(order: str, seed: int | None):
     return pop_random
 
 
-def _result(kind, decode, g: AugmentedGrammar, n: int, pairs, prov) -> ChartResult:
+def _result(kind, decode, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
     """The chart of the distinct (cell, code) pairs, decoded; it accepts when
-    an item spanning the input completes the start rule."""
+    an item spanning the input completes the start rule.  Cells that hold
+    the same codes share one decoded frozenset."""
     cells: dict[tuple[int, int], list] = {}
     for cell, item in pairs:
         cells.setdefault(cell, []).append(item)
     sp = g.idx.ids[g.start_prime]
-    public = {cell: frozenset(map(decode, items)) for cell, items in cells.items()}
+    decoded: dict[frozenset, frozenset] = {}
+    public = {}
+    for cell, items in cells.items():
+        key = frozenset(items)
+        found = decoded.get(key)
+        if found is None:
+            found = decoded[key] = frozenset(map(decode, items))
+        public[cell] = found
     return ChartResult(
         chart=Chart(n=n, cells=public, completed_through=n),
         accepted=any(sp in kind.reducible(item) for item in cells.get((0, n), ())),
         items_added=sum(len(items) for items in cells.values()),
-        provenance=tuple(prov),
+        _firings=(decode, firings),
     )
 
 
@@ -109,7 +163,9 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
     over column i - 1 seed it, and an agenda of its own records closes it:
     a record in cell (j, i) fires clauses 3 and 4 against the items of
     column j.  Validation rejects epsilon rules, so j < i for every record
-    that completes a rule, and column j is already closed.
+    that completes a rule, and column j is already closed.  Column i
+    fires each (j, A) reduction once, for the first record that completes
+    A from j.
 
     `contexts` says what filters clauses 1 and 3 at a column k: "each"
     fires once per item of k with its own filter, "union" once with the
@@ -126,7 +182,8 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
     pop = _agenda(agenda_order, seed)
     columns: list[list] = []
     cached: dict[int, list] = {}
-    prov: list[ProvenanceEntry] = []
+    steps: dict[tuple[int, int], list] = {}
+    firings: list = []
     size = 0
 
     def filters(k: int):
@@ -144,10 +201,19 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
                 cached[k] = [union]
         return cached[k]
 
+    def clause4(j: int, a_lhs: int):
+        """(position, start, advance(context, a_lhs)) for the contexts of closed column j."""
+        key = (j, a_lhs)
+        if key not in steps:
+            found = ((pos, cell[0], advance(ctx, a_lhs)) for pos, (cell, ctx) in enumerate(columns[j]))
+            steps[key] = [step for step in found if step[2] is not None]
+        return steps[key]
+
     for i in range(n + 1):
         col: list = []
         columns.append(col)
         found: dict = {}
+        reduced: set = set()
         agenda: deque = deque()
 
         def add(j, item, clause):
@@ -167,7 +233,7 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
                 if item is None:
                     return
                 rec[1] = item
-            prov.append(ProvenanceEntry(clause, rec[0], decode(item)))
+            firings.append((clause, rec[0], item))
             agenda.append(rec)
 
         if i == 0:
@@ -183,21 +249,24 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
                     add(cell[0], nxt, 2)
         while agenda:
             cell, item = pop(agenda)
-            completes = reducible(item)
+            j = cell[0]
+            completes = [a_lhs for a_lhs in reducible(item) if (j, a_lhs) not in reduced]
             if not completes:
                 continue
-            j = cell[0]
+            reduced.update((j, a_lhs) for a_lhs in completes)
             for ok in filters(j):
                 for a_lhs in completes:
                     for nxt in start(a_lhs, ok):
                         add(j, nxt, 3)
-            for ctx_cell, ctx in columns[j]:
-                for a_lhs in completes:
-                    nxt = advance(ctx, a_lhs)
-                    if nxt is not None:
-                        add(ctx_cell[0], nxt, 4)
+            if len(completes) == 1:
+                targets = clause4(j, completes[0])
+            else:
+                # Context first, then left-hand side: a stable sort by position.
+                targets = sorted(chain.from_iterable(clause4(j, a_lhs) for a_lhs in completes), key=itemgetter(0))
+            for _, ctx_start, nxt in targets:
+                add(ctx_start, nxt, 4)
 
-    return _result(kind, decode, g, n, (rec for col in columns for rec in col), prov)
+    return _result(kind, decode, g, n, (rec for col in columns for rec in col), firings)
 
 
 def tabular_cp(
@@ -223,7 +292,9 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
 
     Without top-down filtering no cell depends on a cell with a smaller
     start, so each row's fixpoint only ever reads rows at or above its own
-    index; the result must equal the ordinary agenda computation.
+    index; the result must equal the ordinary agenda computation.  A row
+    fires each (end, A) reduction once and keeps them, in first-seen
+    order, for the rows below it to read as contexts.
     """
     kind = item_kind("cp", g)
     start, advance, reducible = kind.start, kind.advance, kind.reducible
@@ -231,13 +302,14 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
     everything = g.idx.all_nonterminals
     toks = g.idx.token_ids(tokens)
     n = len(toks)
-    rows: dict[int, list] = {}
-    prov: list[ProvenanceEntry] = []
+    reductions: dict[int, dict] = {}  # start -> {(end, lhs): None} of a finished row
+    pairs: list = []
+    firings: list = []
     size = 0
 
     for h in range(n, -1, -1):
-        row: list = []  # (cell, code, reducible) records of the cells (h, i)
         found: set = set()
+        reduced: dict = {}
         worklist: deque = deque()
 
         def add(i, item, clause):
@@ -248,10 +320,9 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
                 raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
             size += 1
             found.add((i, item))
-            rec = ((h, i), item, reducible(item))
-            row.append(rec)
-            prov.append(ProvenanceEntry(clause, rec[0], decode(item)))
-            worklist.append(rec)
+            pairs.append(((h, i), item))
+            firings.append((clause, (h, i), item))
+            worklist.append((i, item))
 
         if h == 0:
             add(0, kind.init, 0)
@@ -259,13 +330,15 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
             for item in start(toks[h], everything):
                 add(h + 1, item, 1)
         while worklist:
-            cell, item, completes = worklist.popleft()
-            i = cell[1]
+            i, item = worklist.popleft()
             if i < n:
                 nxt = advance(item, toks[i])
                 if nxt is not None:
                     add(i + 1, nxt, 2)
-            for a_lhs in completes:
+            for a_lhs in reducible(item):
+                if (i, a_lhs) in reduced:
+                    continue
+                reduced[(i, a_lhs)] = None
                 for nxt in start(a_lhs, everything):
                     add(i, nxt, 3)
                 # As the reduction: the only context in its own row is the seed.
@@ -273,15 +346,13 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
                 if nxt is not None:
                     add(i, nxt, 4)
             # As the context: the reductions that start where it ends, in a finished row.
-            for red_cell, _, red_completes in rows[i] if i > h else ():
-                for a_lhs in red_completes:
-                    nxt = advance(item, a_lhs)
-                    if nxt is not None:
-                        add(red_cell[1], nxt, 4)
-        rows[h] = row
+            for end, a_lhs in reductions[i] if i > h else ():
+                nxt = advance(item, a_lhs)
+                if nxt is not None:
+                    add(end, nxt, 4)
+        reductions[h] = reduced
 
-    pairs = ((cell, item) for row in rows.values() for cell, item, _ in row)
-    return _result(kind, decode, g, n, pairs, prov)
+    return _result(kind, decode, g, n, pairs, firings)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")

@@ -1,6 +1,6 @@
 import pytest
 
-from cfrec.grammar import nonterm, term
+from cfrec.grammar import augment, nonterm, parse_grammar, term
 from cfrec import BudgetExhaustedError, KindMismatchError
 from cfrec.items import CPItem, ELRItem
 from cfrec.oracle import derives
@@ -167,12 +167,13 @@ def test_tabular_acceptance_matches_automata(g1):
         assert tabular_elr(g1, tokens).accepted == recognize("elr", g1, tokens).accepted
 
 
-def test_provenance_records_every_item(g1):
-    res = tabular_cp(g1, ["a", "*", "a"])
-    recorded = {(p.cell, p.item) for p in res.provenance}
-    for cell, items in res.chart.cells.items():
-        for item in items:
-            assert (cell, item) in recorded
+def test_clause_4_fires_context_first_then_left_hand_side():
+    # The last 'a' completes S and A at once.  Column 2 holds the context
+    # [-> A] at (1, 2) before [-> A A] at (0, 2), so A's step from (1, 2)
+    # fires before S's step from (0, 2), though S comes first.
+    g = augment(parse_grammar("start B\nB -> A A S\nS -> 'a'\nA -> 'b' | 'a'\n"))
+    res = tabular_cp(g, ["a", "a", "a"], td_filter=False)
+    assert [e.cell for e in res.provenance if e.clause == 4] == [(0, 2), (1, 3), (0, 3)]
 
 
 def test_items_added_counts_distinct_items(g1):
@@ -201,6 +202,17 @@ CHART_BUILDERS = {
     "elr": lambda g, t, **kw: tabular_elr(g, t, variant="merged", **kw),
     "elr-naive": lambda g, t, **kw: tabular_elr(g, t, variant="naive", **kw),
 }
+
+
+@pytest.mark.parametrize("builder", sorted(CHART_BUILDERS))
+def test_provenance_records_every_item(g1, builder):
+    res = CHART_BUILDERS[builder](g1, ["a", "*", "a"])
+    entries = list(res.provenance)
+    assert len(res.provenance) == len(entries)
+    recorded = {(p.cell, p.item) for p in entries}
+    for cell, items in res.chart.cells.items():
+        for item in items:
+            assert (cell, item) in recorded
 
 
 @pytest.mark.parametrize("builder", sorted(CHART_BUILDERS))
