@@ -229,6 +229,14 @@ class ELRKind:
         ]
         self._complete = [tuple((a, 1 << a) for a in ids) for ids in idx.complete_ordered]
         sp = 1 << idx.ids[g.start_prime]
+        # Per prefix node: the left-hand sides through it, which a set over it
+        # may hold; over the empty prefix, only the start rule's.
+        self._through = [sp]
+        for node in range(1, len(idx.cont)):
+            through = idx.complete[node]
+            for _, lhss in idx.cont[node].values():
+                through |= lhss
+            self._through.append(through)
         self.init = (0, sp)
         self.final = (idx.node_of[(g.base.start,)], sp)
 
@@ -269,12 +277,15 @@ class ELRKind:
         return (old[0], old[1] | new[1])
 
     def encode(self, item):
+        """The code of a valid set item: a nonempty set of left-hand sides through its prefix."""
         idx = self._idx
         node = idx.node_of.get(item.alpha) if isinstance(item, ELRItem) else None
-        ids = [idx.ids.get(s, -1) for s in item.delta] if node is not None else ()
-        if node is None or not all(0 <= k < len(idx.nonterminals) for k in ids):
-            raise KindMismatchError(f"{item!r} is not an ELRItem over a rule prefix of this grammar")
-        return (node, sum(1 << k for k in ids))
+        delta = 0
+        for s in item.delta if node is not None else ():
+            delta |= 1 << idx.ids.get(s, len(idx.symbols))
+        if node is None or not delta or delta & ~self._through[node]:
+            raise KindMismatchError(f"{item!r} is not a valid ELRItem of this grammar")
+        return (node, delta)
 
     def decode(self, code):
         return self.decoder()(code)
@@ -400,15 +411,8 @@ def elr_item_is_valid(delta, alpha, g: AugmentedGrammar) -> bool:
     The universe is exponential in the nonterminal count, so validity is
     checked lazily for the items that actually materialize.
     """
-    delta = frozenset(delta)
-    alpha = tuple(alpha)
-    idx = g.idx
-    node = idx.node_of.get(alpha)
-    if not delta or node is None:
+    try:
+        item_kind("elr", g).encode(ELRItem(frozenset(delta), tuple(alpha)))
+    except KindMismatchError:
         return False
-    through = idx.complete[node]
-    for _, lhss in idx.cont[node].values():
-        through |= lhss
-    if not delta <= idx.nonterminal_set(through):
-        return False
-    return bool(alpha) or delta == frozenset({g.start_prime})
+    return True

@@ -21,10 +21,12 @@ Clauses 3 and 4 of an item in cell (j, i) read only j, the left-hand
 side A it completes, the filters of column j and the items of column j,
 which is closed.  So each column reduces each (j, A) once: a later item
 that completes A from j could only re-add what the first one added, and
-is skipped.  Clause 4 reads, per closed column j and nonterminal A, the
-list of (start, ``advance(context, A)``) over the contexts of column j,
-built on first use.  The row-wise builder keeps the distinct (end, A)
-reductions of each finished row for the same reason.
+is skipped.  The filters of a column are fixed when it closes.  Clause 4
+reads, per closed column j and tuple of left-hand sides an item newly
+completes from j, the list of (start, ``advance(context, A)``) over the
+contexts of column j and then those left-hand sides, built on first use.
+The row-wise builder keeps the distinct (end, A) reductions of each
+finished row for the same reason.
 
 The engine runs on item codes (see `items`).  Public items are built
 only for the result: `_result` decodes the cells, each distinct set of
@@ -39,8 +41,6 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 
 from .grammar import AugmentedGrammar, Symbol, render_symbols
 from .items import DEFAULT_BUDGET, BudgetExhaustedError, ELRItem, item_kind, render_delta, render_item
@@ -132,10 +132,11 @@ def _agenda(order: str, seed: int | None):
     return pop_random
 
 
-def _result(kind, decode, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
+def _result(kind, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
     """The chart of the distinct (cell, code) pairs, decoded; it accepts when
     an item spanning the input completes the start rule.  Cells that hold
     the same codes share one decoded frozenset."""
+    decode = kind.decoder()
     cells: dict[tuple[int, int], list] = {}
     for cell, item in pairs:
         cells.setdefault(cell, []).append(item)
@@ -167,47 +168,23 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
     fires each (j, A) reduction once, for the first record that completes
     A from j.
 
-    `contexts` says what filters clauses 1 and 3 at a column k: "each"
-    fires once per item of k with its own filter, "union" once with the
-    union of their filters, and None fires unfiltered.
+    `contexts` says what filters clauses 1 and 3 at a column k, fixed when
+    k closes: "each" fires once per item of k with its own filter, "union"
+    once with the union of their filters, and None fires unfiltered.
     With `join`, a cell keeps one item per prefix and merges into it the
     nonterminal sets of later set items; set-item codes begin with the
     prefix node.
     """
     kind = item_kind(algo, g)
     allowed, start, advance, reducible = kind.allowed, kind.start, kind.advance, kind.reducible
-    decode = kind.decoder()
     toks = g.idx.token_ids(tokens)
     n = len(toks)
     pop = _agenda(agenda_order, seed)
     columns: list[list] = []
-    cached: dict[int, list] = {}
-    steps: dict[tuple[int, int], list] = {}
+    filters: list = []  # per closed column k: the allowed masks for clauses 1 and 3 at k
+    steps: dict[tuple[int, ...], list] = {}  # (j, *completes) -> clause-4 steps
     firings: list = []
     size = 0
-
-    def filters(k: int):
-        """The allowed masks for clauses 1 and 3 at column k."""
-        if contexts is None:
-            return (g.idx.all_nonterminals,)
-        if k not in cached:
-            col = columns[k]
-            if contexts == "each":
-                cached[k] = [allowed(item) for _, item in col]
-            else:
-                union = 0
-                for _, item in col:
-                    union |= allowed(item)
-                cached[k] = [union]
-        return cached[k]
-
-    def clause4(j: int, a_lhs: int):
-        """(position, start, advance(context, a_lhs)) for the contexts of closed column j."""
-        key = (j, a_lhs)
-        if key not in steps:
-            found = ((pos, cell[0], advance(ctx, a_lhs)) for pos, (cell, ctx) in enumerate(columns[j]))
-            steps[key] = [step for step in found if step[2] is not None]
-        return steps[key]
 
     for i in range(n + 1):
         col: list = []
@@ -240,7 +217,7 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
             add(0, kind.init, 0)
         else:
             a = toks[i - 1]
-            for ok in filters(i - 1):
+            for ok in filters[i - 1]:
                 for item in start(a, ok):
                     add(i - 1, item, 1)
             for cell, item in columns[i - 1]:
@@ -254,19 +231,34 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
             if not completes:
                 continue
             reduced.update((j, a_lhs) for a_lhs in completes)
-            for ok in filters(j):
+            for ok in filters[j]:
                 for a_lhs in completes:
                     for nxt in start(a_lhs, ok):
                         add(j, nxt, 3)
-            if len(completes) == 1:
-                targets = clause4(j, completes[0])
-            else:
-                # Context first, then left-hand side: a stable sort by position.
-                targets = sorted(chain.from_iterable(clause4(j, a_lhs) for a_lhs in completes), key=itemgetter(0))
-            for _, ctx_start, nxt in targets:
+            key = (j, *completes)
+            targets = steps.get(key)
+            if targets is None:
+                # Context first, then left-hand side.
+                targets = steps[key] = [
+                    (ctx_cell[0], nxt)
+                    for ctx_cell, ctx in columns[j]
+                    for a_lhs in completes
+                    if (nxt := advance(ctx, a_lhs)) is not None
+                ]
+            for ctx_start, nxt in targets:
                 add(ctx_start, nxt, 4)
 
-    return _result(kind, decode, g, n, (rec for col in columns for rec in col), firings)
+        if contexts is None:
+            filters.append((g.idx.all_nonterminals,))
+        elif contexts == "each":
+            filters.append([allowed(item) for _, item in col])
+        else:
+            union = 0
+            for _, item in col:
+                union |= allowed(item)
+            filters.append((union,))
+
+    return _result(kind, g, n, (rec for col in columns for rec in col), firings)
 
 
 def tabular_cp(
@@ -298,7 +290,6 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
     """
     kind = item_kind("cp", g)
     start, advance, reducible = kind.start, kind.advance, kind.reducible
-    decode = kind.decoder()
     everything = g.idx.all_nonterminals
     toks = g.idx.token_ids(tokens)
     n = len(toks)
@@ -352,7 +343,7 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
                     add(end, nxt, 4)
         reductions[h] = reduced
 
-    return _result(kind, decode, g, n, pairs, firings)
+    return _result(kind, g, n, pairs, firings)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")

@@ -13,7 +13,7 @@ from cfrec.automata import (
     successors_with_clauses,
 )
 from cfrec.grammar import UnknownTokenError, nonterm, term
-from cfrec.items import CPItem, ELRItem, LCItem, PLRItem
+from cfrec.items import CPItem, ELRItem, LCItem, PLRItem, elr_item_is_valid
 
 E, T, F = nonterm("E"), nonterm("T"), nonterm("F")
 A_TOK = term("a")
@@ -77,6 +77,21 @@ def test_successors_reject_items_of_another_grammar(g1, overlap):
             successors_with_clauses(algo, g1, ["a", "*"], cfg)
         with pytest.raises(KindMismatchError):
             successors(algo, g1, ["a", "*"], cfg)
+
+
+def test_successors_reject_an_empty_stack(g1):
+    with pytest.raises(KindMismatchError):
+        successors_with_clauses("lc", g1, ["a"], Configuration((), 0))
+
+
+@pytest.mark.parametrize("algo", ["elr", "pseudo_elr"])
+def test_successors_reject_set_items_no_rule_allows(g1, algo):
+    # T has no rule through 'a', E is not the start rule's lhs, and a set
+    # item's set is never empty.
+    for item in (ELRItem(frozenset({T}), (A_TOK,)), ELRItem(frozenset({E}), ()), ELRItem(frozenset(), (T,))):
+        assert not elr_item_is_valid(item.delta, item.alpha, g1)
+        with pytest.raises(KindMismatchError):
+            successors_with_clauses(algo, g1, ["a", "*", "a"], Configuration((item,), 0))
 
 
 def test_recognize_examples(g1):

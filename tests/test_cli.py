@@ -5,7 +5,7 @@ from pathlib import Path
 
 from cfrec import automata, tabular
 from cfrec.automata import accepting_trace
-from cfrec.cli import render_trace, run_command
+from cfrec.cli import main, render_trace, run_command
 from trace_parser import parse_trace_line
 
 REPO = Path(__file__).resolve().parents[1]
@@ -115,6 +115,42 @@ def test_usage_errors():
     assert code == 2
     code, out = run_command(["recognize", "--algo", "lc", "/nonexistent.cfg", "--", "a"])
     assert code == 2
+
+
+def test_commands_without_input_reject_tokens():
+    for command, extra in (("validate", []), ("relations", []), ("sentences", ["--max", "2"])):
+        code, out = run_command([command, *extra, G1, "--", "a"])
+        assert code == 2
+        assert out == f"{command} takes no input tokens\n"
+
+
+def test_validate_prints_warnings_and_passes():
+    code, out = run_command(["validate", str(REPO / "grammars" / "pseudo_trap.cfg")])
+    assert code == 0
+    assert out == (
+        "warning UNREACHABLE_NONTERMINAL: nonterminal B is unreachable from S\n"
+        "warning UNREACHABLE_NONTERMINAL: nonterminal Z is unreachable from S\n"
+        "ok\n"
+    )
+
+
+def test_recognize_trace_of_a_rejected_input():
+    code, out = run_command(["recognize", "--algo", "elr", "--trace", G1, "--", "a", "+", "a", "^", "a"])
+    assert code == 1
+    assert out == "rejected\n"
+
+
+def test_main_writes_exit_2_text_to_stderr_and_the_rest_to_stdout(capsys):
+    for argv, code in (
+        (["recognize", "--algo", "lc", G1, "--", "a"], 0),
+        (["recognize", "--algo", "lc", G1, "--", "a", "a"], 1),
+        (["recognize", "--algo", "cp", "--budget", "3", G1, "--", "a", "+", "a"], 3),
+        (["recognize", "--algo", "lc", G1, "--", "z"], 2),
+    ):
+        text = run_command(argv)[1]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (("", text) if code == 2 else (text, ""))
 
 
 def test_unknown_token_is_a_grammar_error():

@@ -72,6 +72,22 @@ def test_parse_reports_line_and_column():
         pytest.fail("expected a syntax error")
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("start S\nS -> ''", "empty terminal", 6),
+        ("start S\nS S S", "expected 'start <N>' or '<N> -> ...'", 1),
+        ("start S\n'a' -> S", "expected 'start <N>' or '<N> -> ...'", 1),
+        ("start S\nS -> 'a' -> 'b'", "unexpected '->' in rule", 10),
+    ],
+)
+def test_parse_syntax_errors_name_the_fault_and_its_place(text, message, column):
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    assert str(err.value) == f"2:{column}: {message}"
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 def test_parse_rejects_whitespace_in_terminal():
     with pytest.raises(GrammarSyntaxError):
         parse_grammar("start S\nS -> 'a b'")

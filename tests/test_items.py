@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from cfrec.grammar import augment, nonterm, parse_grammar, term
 from cfrec.items import (
     CPItem,
@@ -79,6 +81,11 @@ def test_elr_item_validity(g1):
     assert not elr_item_is_valid(set(), (T,), g1)
     assert not elr_item_is_valid({T}, (), g1)
     assert not elr_item_is_valid({F}, (T,), g1)
+
+
+def test_item_kind_rejects_an_unknown_algorithm(g1):
+    with pytest.raises(ValueError, match="unknown algorithm 'slr'"):
+        item_kind("slr", g1)
 
 
 def test_plr_item_pairs_with_singleton_delta_are_valid_elr_items(g1):

@@ -87,6 +87,13 @@ def test_node_budget_is_an_error_not_an_answer(g1):
         derives(g1, ["a", "+", "a", "+", "a"], node_budget=2)
 
 
+def test_prefix_and_sentence_searches_stop_at_their_node_budget(g1):
+    with pytest.raises(LimitExceededError, match="prefix search exceeded 2 expansions"):
+        viable_prefix(g1, ["a", "+", "a"], node_budget=2)
+    with pytest.raises(LimitExceededError, match="sentence enumeration exceeded 2 expansions"):
+        sentences_up_to(g1, 3, node_budget=2)
+
+
 def test_oracle_tables_die_with_their_grammar():
     import gc
     import weakref

@@ -2,7 +2,7 @@ import pytest
 
 from cfrec.grammar import augment, nonterm, parse_grammar, term
 from cfrec import BudgetExhaustedError, KindMismatchError
-from cfrec.items import CPItem, ELRItem
+from cfrec.items import CPItem, ELRItem, render_item
 from cfrec.oracle import derives
 from pathlib import Path
 
@@ -16,6 +16,8 @@ from cfrec.tabular import (
     tabular_cp_unfiltered_by_rows,
     tabular_elr,
 )
+
+from conftest import load_grammar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -176,6 +178,13 @@ def test_clause_4_fires_context_first_then_left_hand_side():
     assert [e.cell for e in res.provenance if e.clause == 4] == [(0, 2), (1, 3), (0, 3)]
 
 
+def test_chart_builders_reject_unknown_variants_and_orders(g1):
+    with pytest.raises(ValueError, match="unknown variant 'fast'"):
+        tabular_elr(g1, ["a"], variant="fast")
+    with pytest.raises(ValueError, match="unknown agenda order 'stack'"):
+        tabular_cp(g1, ["a"], agenda_order="stack")
+
+
 def test_items_added_counts_distinct_items(g1):
     res = tabular_cp(g1, ["a", "*", "a"])
     assert res.items_added == sum(len(v) for v in res.chart.cells.values())
@@ -213,6 +222,52 @@ def test_provenance_records_every_item(g1, builder):
     for cell, items in res.chart.cells.items():
         for item in items:
             assert (cell, item) in recorded
+
+
+PROVENANCE_BUILDERS = {
+    "tabular_cp fifo": lambda g, t: tabular_cp(g, t),
+    "tabular_cp lifo": lambda g, t: tabular_cp(g, t, agenda_order="lifo"),
+    "tabular_cp random": lambda g, t: tabular_cp(g, t, agenda_order="random", seed=1),
+    "tabular_cp unfiltered": lambda g, t: tabular_cp(g, t, td_filter=False),
+    "tabular_cp_unfiltered_by_rows": tabular_cp_unfiltered_by_rows,
+    "tabular_elr merged fifo": lambda g, t: tabular_elr(g, t),
+    "tabular_elr merged lifo": lambda g, t: tabular_elr(g, t, agenda_order="lifo"),
+    "tabular_elr merged random": lambda g, t: tabular_elr(g, t, agenda_order="random", seed=1),
+    "tabular_elr naive fifo": lambda g, t: tabular_elr(g, t, variant="naive"),
+    "tabular_elr naive random": lambda g, t: tabular_elr(g, t, variant="naive", agenda_order="random", seed=1),
+}
+# Inline grammars: the highly ambiguous one, and one where the prefix
+# 'a' 'a' completes both S and A, so clause 4 interleaves contexts and
+# left-hand sides.
+INLINE_GRAMMARS = {
+    "amb": "start S\nS -> S S | S '+' S | 'a'\n",
+    "two_lhs": "start S\nS -> 'a' 'a' | A\nA -> 'a' 'a' | 'a' | 'a' A | 'a' S S\n",
+}
+PROVENANCE_INPUTS = (
+    ("g1.cfg", "a * a"),
+    ("g1.cfg", "a + a ^"),
+    ("overlap.cfg", "m a q"),
+    ("amb", "a a + a"),
+    ("two_lhs", "a a a a"),
+)
+
+
+def render_provenance() -> str:
+    """Every provenance entry, in firing order, of each builder and agenda
+    order on a few short inputs: one line of clause, cell and item each."""
+    lines = []
+    for grammar, text in PROVENANCE_INPUTS:
+        g = augment(parse_grammar(INLINE_GRAMMARS[grammar])) if grammar in INLINE_GRAMMARS else load_grammar(grammar)
+        for name, build in PROVENANCE_BUILDERS.items():
+            res = build(g, text.split())
+            lines.append(f"== {grammar}: {text} | {name} accepted={'true' if res.accepted else 'false'}")
+            lines.extend(f"{e.clause} T[{e.cell[0]},{e.cell[1]}] {render_item(e.item)}" for e in res.provenance)
+    return "\n".join(lines) + "\n"
+
+
+def test_provenance_order_equals_golden():
+    # Counts alone miss a reordering: this pins every entry and its place.
+    assert render_provenance() == (GOLDEN / "chart_provenance.txt").read_text()
 
 
 @pytest.mark.parametrize("builder", sorted(CHART_BUILDERS))
