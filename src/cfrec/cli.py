@@ -47,6 +47,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
+def _count(text: str) -> int:
+    """A bound given on the command line: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="cfrec", description="Context-free recognition workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -62,7 +73,7 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("recognize", help="run a stack recognizer")
     sp.add_argument("--algo", required=True, choices=sorted(_ALGO_CLI_TO_INTERNAL))
     sp.add_argument("--trace", action="store_true", help="print a shortest accepting run")
-    sp.add_argument("--budget", type=int, default=automata.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=automata.DEFAULT_BUDGET)
     sp.add_argument("--allow-cyclic", action="store_true")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_recognize)
@@ -76,14 +87,14 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("compare", help="run every recognizer and report metrics")
     sp.add_argument("--oracle", action="store_true", help="include brute-force ground truth")
     sp.add_argument(
-        "--budget", type=int, default=automata.DEFAULT_BUDGET, help="configurations per stack engine, items per chart"
+        "--budget", type=_count, default=automata.DEFAULT_BUDGET, help="configurations per stack engine, items per chart"
     )
     sp.add_argument("--allow-cyclic", action="store_true")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("sentences", help="enumerate the language up to a length bound")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=_count, required=True)
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_sentences)
 

@@ -8,6 +8,11 @@ identifier matching ``[A-Za-z_][A-Za-z0-9_]*`` or a single-quoted terminal
 (no escapes).  Quoting is what separates the terminal and nonterminal
 namespaces; the two never overlap in a valid grammar.  Multiple rule lines
 for the same left-hand side accumulate.
+
+The graph analyses share one reachability walk, `_reach`: reachability
+from the start symbol, unit cycles, and the left-corner closure
+`left_corner_star`.  `min_yields` decides productivity: a nonterminal is
+productive iff it has a minimum yield.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ class ValidationReport:
 
 
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<arrow>->)|(?P<pipe>\|)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<arrow>->)|(?P<pipe>\|)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<quote>'[^']*')|(?P<bad>\S))"
 )
 
@@ -225,114 +230,63 @@ def parse_grammar(text: str) -> Grammar:
     )
 
 
-def _unit_cycle_components(g: Grammar) -> list[list[Symbol]]:
-    """Strongly connected components of the unit-rule graph that form cycles."""
-    edges: dict[Symbol, set[Symbol]] = {n: set() for n in g.nonterminals}
+def _reach(succ, roots) -> set:
+    """The nodes reachable from roots along succ, roots included."""
+    seen = set(roots)
+    work = list(seen)
+    while work:
+        for y in succ.get(work.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
+    return seen
+
+
+def _unit_cycles(g: Grammar) -> list[list[Symbol]]:
+    """The classes of nonterminals on a common cycle of unit rules, sorted.
+
+    ``after[a]`` holds the nonterminals one or more unit steps from a, so
+    a lies on a cycle iff it is in ``after[a]``; a self-loop counts.
+    Each class is given once, at its least member.
+    """
+    units: dict[Symbol, list[Symbol]] = {n: [] for n in g.nonterminals}
     for r in g.rules:
-        if len(r.rhs) == 1 and r.rhs[0].is_nonterminal and r.lhs in edges:
-            edges[r.lhs].add(r.rhs[0])
-    index: dict[Symbol, int] = {}
-    low: dict[Symbol, int] = {}
-    on_stack: set[Symbol] = set()
-    stack: list[Symbol] = []
-    counter = [0]
-    out: list[list[Symbol]] = []
-
-    def strongconnect(v: Symbol):
-        # Iterative Tarjan, to stay safe on deep unit chains.
-        work = [(v, iter(sorted(edges.get(v, ()))))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in edges:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1 or node in edges.get(node, ()):
-                    out.append(sorted(comp))
-
-    for v in sorted(edges):
-        if v not in index:
-            strongconnect(v)
+        if len(r.rhs) == 1 and r.lhs in units and r.rhs[0] in units and r.rhs[0].is_nonterminal:
+            units[r.lhs].append(r.rhs[0])
+    after = {a: _reach(units, units[a]) for a in units}
+    out = []
+    for a in sorted(units):
+        if a in after[a]:
+            comp = sorted(b for b in after[a] if a in after[b])
+            if comp[0] == a:
+                out.append(comp)
     return out
 
 
 def min_yields(g: Grammar) -> dict[Symbol, int]:
     """Length of the shortest terminal string each symbol derives.
 
-    Terminals yield themselves; unproductive nonterminals are absent.
-    Without epsilon rules every present value is at least 1.
+    Terminals, declared or not, yield themselves; a nonterminal is
+    productive iff it is present.  Without epsilon rules every present
+    value is at least 1.
     """
     yields: dict[Symbol, int] = {t: 1 for t in g.terminals}
+    yields.update((s, 1) for r in g.rules for s in r.rhs if s.is_terminal)
     changed = True
     while changed:
         changed = False
         for r in g.rules:
-            if all(s in yields for s in r.rhs):
-                total = sum(yields[s] for s in r.rhs)
+            total = 0
+            for s in r.rhs:
+                y = yields.get(s)
+                if y is None:
+                    break
+                total += y
+            else:
                 if total < yields.get(r.lhs, total + 1):
                     yields[r.lhs] = total
                     changed = True
     return yields
-
-
-def _productive_nonterminals(g: Grammar) -> frozenset[Symbol]:
-    productive: set[Symbol] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            if r.lhs in productive:
-                continue
-            if all(s.is_terminal or s in productive for s in r.rhs):
-                productive.add(r.lhs)
-                changed = True
-    return frozenset(productive)
-
-
-def _reachable_nonterminals(g: Grammar) -> frozenset[Symbol]:
-    if g.start not in g.nonterminals:
-        return frozenset()
-    reached = {g.start}
-    frontier = [g.start]
-    by_lhs: dict[Symbol, list[Rule]] = {}
-    for r in g.rules:
-        by_lhs.setdefault(r.lhs, []).append(r)
-    while frontier:
-        a = frontier.pop()
-        for r in by_lhs.get(a, ()):
-            for s in r.rhs:
-                if s.is_nonterminal and s not in reached:
-                    reached.add(s)
-                    frontier.append(s)
-    return frozenset(reached)
 
 
 def validate(g: Grammar) -> ValidationReport:
@@ -362,12 +316,15 @@ def validate(g: Grammar) -> ValidationReport:
             diags.append(Diagnostic("EPSILON_RULE", f"rule {r.lhs.name} -> <empty> has an empty right-hand side", r.lhs.name))
     if g.start not in g.nonterminals or g.start.is_terminal:
         diags.append(Diagnostic("START_MISSING", f"start symbol {g.start.name!r} is not a declared nonterminal", g.start.name))
-    for comp in _unit_cycle_components(g):
+    for comp in _unit_cycles(g):
         names = ", ".join(s.name for s in comp)
         diags.append(Diagnostic("UNIT_CYCLE", f"unit-rule cycle through {{{names}}}", names))
 
-    productive = _productive_nonterminals(g)
-    reachable = _reachable_nonterminals(g)
+    productive = min_yields(g)
+    children: dict[Symbol, list[Symbol]] = {}
+    for r in g.rules:
+        children.setdefault(r.lhs, []).extend(s for s in r.rhs if s.is_nonterminal)
+    reachable = _reach(children, [g.start]) if g.start in g.nonterminals else set()
     for n in sorted(g.nonterminals):
         if n not in reachable:
             diags.append(Diagnostic("UNREACHABLE_NONTERMINAL", f"nonterminal {n.name} is unreachable from {g.start.name}", n.name))
@@ -542,22 +499,10 @@ def left_corner(g: AugmentedGrammar) -> Relation:
 
 def left_corner_star(rel: Relation, g: AugmentedGrammar) -> Relation:
     """Smallest reflexive-transitive relation over g's nonterminals containing rel."""
-    universe = g.nonterminals
-    succ: dict[Symbol, set[Symbol]] = {n: {n} for n in universe}
+    succ: dict[Symbol, list[Symbol]] = {n: [] for n in g.nonterminals}
     for b, a in rel.pairs:
-        succ.setdefault(b, {b}).add(a)
-    closed: set[tuple[Symbol, Symbol]] = set()
-    for b in succ:
-        seen = {b}
-        frontier = [b]
-        while frontier:
-            x = frontier.pop()
-            for y in succ.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        closed.update((b, a) for a in seen)
-    return Relation(frozenset(closed))
+        succ.setdefault(b, []).append(a)
+    return Relation(frozenset((b, a) for b in succ for a in _reach(succ, (b,))))
 
 
 def common_prefix_pairs(g: AugmentedGrammar) -> list[tuple[Rule, Rule, tuple[Symbol, ...]]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,19 @@ def test_sentences():
 def test_sentences_cap_is_an_error():
     code, out = run_command(["sentences", "--max", "11", G1])
     assert code == 2
+
+
+def test_sentences_rejects_a_negative_bound():
+    code, out = run_command(["sentences", "--max", "-1", G1])
+    assert code == 2
+    assert out.endswith("error: argument --max: must not be negative: -1\n")
+
+
+def test_budget_must_not_be_negative():
+    for command in (["recognize", "--algo", "lc"], ["compare"]):
+        code, out = run_command([*command, "--budget", "-5", G1, "--", "a"])
+        assert code == 2
+        assert out.endswith("error: argument --budget: must not be negative: -5\n")
 
 
 def test_validate_ok_and_invalid(tmp_path):
@@ -206,10 +220,12 @@ def test_trace_round_trips_through_the_debug_parser(g1, overlap):
 
 
 def test_module_entry_point_smoke():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cfrec", "recognize", "--algo", "lc", G1, "--", "a"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "accepted\n"

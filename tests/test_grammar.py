@@ -93,6 +93,12 @@ def test_parse_rejects_whitespace_in_terminal():
         parse_grammar("start S\nS -> 'a b'")
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u3000"])
+def test_parse_separates_tokens_on_any_whitespace(space):
+    g = parse_grammar(f"start S\nS{space}->{space}'a'{space}'b' | 'c'{space}S{space}\n")
+    assert [r.rhs for r in g.rules] == [(term("a"), term("b")), (term("c"), nonterm("S"))]
+
+
 def test_comments_and_blank_lines_ignored():
     g = parse_grammar("# heading\n\nstart S\n  # indented comment\nS -> 'a'\n")
     assert len(g.rules) == 1
@@ -118,6 +124,21 @@ def test_validate_self_unit_cycle():
     assert not validate(g).ok
 
 
+def _unit_cycle_subjects(text):
+    return [d.subject for d in validate(parse_grammar(text)).diagnostics if d.code == "UNIT_CYCLE"]
+
+
+def test_unit_cycles_come_sorted_by_least_member():
+    # The cycle {A, B} reaches the cycle {C, D}; a depth-first search finishes {C, D} first.
+    text = "start S\nS -> A | 'a'\nA -> B | C\nB -> A | 'b'\nC -> D | 'c'\nD -> C"
+    assert _unit_cycle_subjects(text) == ["A, B", "C, D"]
+
+
+def test_unit_self_loop_is_a_cycle_of_its_own():
+    text = "start S\nS -> T | 'a'\nT -> T | 'b' | U\nU -> V\nV -> U | 'c'"
+    assert _unit_cycle_subjects(text) == ["T", "U, V"]
+
+
 def test_validate_undeclared_symbol():
     g = Grammar(
         terminals=frozenset(),
@@ -128,6 +149,18 @@ def test_validate_undeclared_symbol():
     report = validate(g)
     assert not report.ok
     assert any(d.code == "UNDECLARED_SYMBOL" for d in report.diagnostics)
+
+
+def test_undeclared_terminal_still_counts_as_productive():
+    g = Grammar(
+        terminals=frozenset(),
+        nonterminals=frozenset({nonterm("S")}),
+        rules=(Rule(nonterm("S"), (term("a"),)),),
+        start=nonterm("S"),
+    )
+    assert [(d.code, d.subject, d.message) for d in validate(g).diagnostics] == [
+        ("UNDECLARED_SYMBOL", "a", "symbol 'a' in S -> 'a' is not declared")
+    ]
 
 
 def test_validate_name_declared_as_terminal_and_nonterminal():

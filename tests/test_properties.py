@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from cfrec.grammar import (
 )
 from cfrec.items import cp_items, elr_item_is_valid, lc_items, plr_items
 from cfrec.oracle import derives, sentences_up_to, viable_prefix
+from cfrec.random_grammars import _candidate
 from cfrec.tabular import tabular_cp, tabular_elr
 
 _NTS = tuple(nonterm(x) for x in "SABC")
@@ -83,6 +85,37 @@ def test_closure_pairs_are_witnessed_by_leftmost_derivations(g):
     star = left_corner_star(left_corner(g), g)
     for b, a in star.pairs:
         assert b == a or _corner_reachable(g, b, a, depth=8)
+
+
+def _unit_steps(g, root):
+    # nonterminals one to len(nonterminals) unit rules below root, layer by layer
+    found = set()
+    layer = {root}
+    for _ in range(len(g.nonterminals)):
+        layer = {
+            r.rhs[0]
+            for r in g.rules
+            if r.lhs in layer and len(r.rhs) == 1 and r.rhs[0].is_nonterminal and r.rhs[0] in g.nonterminals
+        }
+        found |= layer
+    return found
+
+
+def test_unit_cycle_subjects_are_the_mutual_unit_reachability_classes():
+    rng = random.Random(20261019)
+    with_two = 0
+    for _ in range(3000):
+        g = _candidate(rng)
+        below = {a: _unit_steps(g, a) for a in g.nonterminals}
+        want = []
+        for a in sorted(g.nonterminals):
+            cls = sorted(b for b in below[a] if a in below[b])
+            if cls and cls[0] == a:
+                want.append(", ".join(b.name for b in cls))
+        got = [d.subject for d in validate(g).diagnostics if d.code == "UNIT_CYCLE"]
+        assert got == want
+        with_two += len(want) >= 2
+    assert with_two >= 10
 
 
 @given(small_grammars())
