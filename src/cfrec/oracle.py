@@ -1,8 +1,11 @@
 """Brute-force ground truth by exhaustive leftmost derivation search.
 
-Deliberately independent of the stack and chart engines: membership and
-viable-prefix questions are answered by expanding sentential forms with
-aggressive pruning.  Only meant for desk-scale grammars.
+Deliberately independent of the stack and chart engines.  One breadth-first
+search, `_forms`, expands the leftmost symbol of sentential forms; each
+question supplies only its own `normalize`, which matches leading terminals
+and prunes dead forms, and reads its answer off the forms found: membership
+(`derives`), extendability (`viable_prefix`) and bounded enumeration
+(`sentences_up_to`).  Only meant for desk-scale grammars.
 """
 
 from __future__ import annotations
@@ -43,6 +46,38 @@ class _Oracle:
         return total
 
 
+def _forms(g: AugmentedGrammar, matched, normalize, node_budget: int, what: str):
+    """Each distinct normalized `(matched, rest)` form once, breadth first.
+
+    The search starts from the start symbol and expands the leftmost symbol
+    of `rest`.  `normalize(matched, syms)` returns a form, or None for a dead
+    one.  A form is yielded when it is first found, so a caller that stops
+    at its answer expands no further.
+    """
+    by_lhs = g.memo(_Oracle).by_lhs
+    start = normalize(matched, (g.base.start,))
+    if start is None:
+        return
+    yield start
+    seen = {start}
+    queue = deque([start])
+    expansions = 0
+    while queue:
+        matched, syms = queue.popleft()
+        if not syms:
+            continue
+        tail = syms[1:]
+        for r in by_lhs.get(syms[0], ()):
+            expansions += 1
+            if expansions > node_budget:
+                raise LimitExceededError(f"{what} exceeded {node_budget} expansions")
+            nxt = normalize(matched, r.rhs + tail)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                yield nxt
+
+
 def derives(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -> bool:
     """True iff the start symbol derives exactly the given token string."""
     w = g.tokens_to_symbols(tokens)
@@ -62,28 +97,7 @@ def derives(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -> bool
             return None
         return (p, syms)
 
-    start = normalize(0, (g.base.start,))
-    if start is None:
-        return False
-    seen = {start}
-    queue = deque([start])
-    expansions = 0
-    while queue:
-        p, syms = queue.popleft()
-        if not syms:
-            if p == n:
-                return True
-            continue
-        head = syms[0]
-        for r in ob.by_lhs.get(head, ()):
-            expansions += 1
-            if expansions > node_budget:
-                raise LimitExceededError(f"derivation search exceeded {node_budget} expansions")
-            nxt = normalize(p, r.rhs + syms[1:])
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return any(p == n and not rest for p, rest in _forms(g, 0, normalize, node_budget, "derivation search"))
 
 
 def viable_prefix(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -> bool:
@@ -100,7 +114,7 @@ def viable_prefix(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -
     n = len(w)
 
     def normalize(p: int, syms: tuple):
-        # Returns True on detection, None when dead, else a truncated state.
+        # None when dead; a covering form truncates to (n, ()).
         if any(s not in ob.min_yield for s in syms):
             return None
         while p < n and syms and syms[0].is_terminal:
@@ -108,36 +122,11 @@ def viable_prefix(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -
                 return None
             p += 1
             syms = syms[1:]
-        if p == n:
-            return True
-        if not syms:
+        if p < n and not syms:
             return None
         return (p, syms[: n - p])
 
-    if g.base.start not in ob.min_yield:
-        return False
-    start = normalize(0, (g.base.start,))
-    if start is True:
-        return True
-    if start is None:
-        return False
-    seen = {start}
-    queue = deque([start])
-    expansions = 0
-    while queue:
-        p, syms = queue.popleft()
-        head = syms[0]
-        for r in ob.by_lhs.get(head, ()):
-            expansions += 1
-            if expansions > node_budget:
-                raise LimitExceededError(f"prefix search exceeded {node_budget} expansions")
-            nxt = normalize(p, r.rhs + syms[1:])
-            if nxt is True:
-                return True
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return any(p == n for p, _ in _forms(g, 0, normalize, node_budget, "prefix search"))
 
 
 def sentences_up_to(g: AugmentedGrammar, max_tokens: int, node_budget: int = NODE_BUDGET) -> frozenset[tuple[str, ...]]:
@@ -155,25 +144,5 @@ def sentences_up_to(g: AugmentedGrammar, max_tokens: int, node_budget: int = NOD
             return None
         return (prefix, syms)
 
-    sentences: set[tuple[str, ...]] = set()
-    start = normalize((), (g.base.start,))
-    if start is None:
-        return frozenset()
-    seen = {start}
-    queue = deque([start])
-    expansions = 0
-    while queue:
-        prefix, syms = queue.popleft()
-        if not syms:
-            sentences.add(tuple(s.name for s in prefix))
-            continue
-        head = syms[0]
-        for r in ob.by_lhs.get(head, ()):
-            expansions += 1
-            if expansions > node_budget:
-                raise LimitExceededError(f"sentence enumeration exceeded {node_budget} expansions")
-            nxt = normalize(prefix, r.rhs + syms[1:])
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(sentences)
+    forms = _forms(g, (), normalize, node_budget, "sentence enumeration")
+    return frozenset(tuple(s.name for s in prefix) for prefix, rest in forms if not rest)

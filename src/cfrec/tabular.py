@@ -379,8 +379,11 @@ def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
     """Left corners of the nonterminals expected right after position i.
 
     The chart must hold set items over g's rule prefixes; any other item
-    raises `KindMismatchError`, a `TypeError`.
+    raises `KindMismatchError`, a `TypeError`.  A negative column raises
+    `ValueError`.
     """
+    if i < 0:
+        raise ValueError(f"column {i} is negative")
     if i > chart.completed_through:
         raise ColumnIncompleteError(f"column {i} is not complete (chart built through {chart.completed_through})")
     elr = item_kind("elr", g)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cfrec import augment, parse_grammar, sentences_up_to, viable_prefix
+from cfrec import augment, derives, parse_grammar, sentences_up_to, viable_prefix
 from cfrec.automata import explore
 from cfrec.grammar import AugmentedGrammar
 from cfrec.random_grammars import random_validated_grammars
@@ -95,6 +95,7 @@ def _check_one_input(report: SweepReport, name: str, g, tokens, accepted_set, vi
     naive = tabular_elr(g, tokens, variant="naive")
     verdicts["tabular_cp"] = cp_res.accepted
     verdicts["tabular_elr"] = merged.accepted
+    verdicts["derives"] = derives(g, tokens)
     for algo, got in verdicts.items():
         if got != want:
             report.agreement_mismatches.append((name, tokens, algo, got, want))

@@ -82,16 +82,18 @@ def test_sentences_cap():
         sentences_up_to(g, 11)
 
 
-def test_node_budget_is_an_error_not_an_answer(g1):
-    with pytest.raises(LimitExceededError):
-        derives(g1, ["a", "+", "a", "+", "a"], node_budget=2)
-
-
-def test_prefix_and_sentence_searches_stop_at_their_node_budget(g1):
-    with pytest.raises(LimitExceededError, match="prefix search exceeded 2 expansions"):
-        viable_prefix(g1, ["a", "+", "a"], node_budget=2)
-    with pytest.raises(LimitExceededError, match="sentence enumeration exceeded 2 expansions"):
-        sentences_up_to(g1, 3, node_budget=2)
+@pytest.mark.parametrize(
+    "query, arg, message",
+    [
+        (derives, ["a", "+", "a", "+", "a"], "derivation search exceeded 2 expansions"),
+        (viable_prefix, ["a", "+", "a"], "prefix search exceeded 2 expansions"),
+        (sentences_up_to, 3, "sentence enumeration exceeded 2 expansions"),
+    ],
+    ids=["derives", "viable_prefix", "sentences_up_to"],
+)
+def test_node_budget_is_an_error_not_an_answer(g1, query, arg, message):
+    with pytest.raises(LimitExceededError, match=message):
+        query(g1, arg, node_budget=2)
 
 
 def test_oracle_tables_die_with_their_grammar():

@@ -148,6 +148,8 @@ def test_predict_set_column_incomplete(g1):
     with pytest.raises(ColumnIncompleteError):
         predict_set(partial, g1, 1)
     assert predict_set(partial, g1, 0).nonterminals == frozenset({E, T, F})
+    with pytest.raises(ValueError, match="column -1"):
+        predict_set(partial, g1, -1)
 
 
 def test_agenda_orders_reach_the_same_fixpoint(g1):

@@ -10,7 +10,7 @@ import sys
 import threading
 
 from cfrec.automata import ALGORITHMS, accepting_trace, initial_configuration, recognize, successors_with_clauses
-from cfrec.oracle import derives, viable_prefix
+from cfrec.oracle import derives, sentences_up_to, viable_prefix
 from cfrec.tabular import ELR_VARIANTS, tabular_cp, tabular_cp_unfiltered_by_rows, tabular_elr
 
 from conftest import load_grammar
@@ -32,6 +32,7 @@ def _run_all(g):
         out.append(tabular_cp_unfiltered_by_rows(g, tokens))
         out.append([tabular_elr(g, tokens, variant=v) for v in ELR_VARIANTS])
         out.append((derives(g, tokens), viable_prefix(g, tokens)))
+    out.append(sentences_up_to(g, 5))
     return out
 
 
