@@ -272,7 +272,7 @@ def run_command(argv) -> tuple[int, str]:
         return 2, str(e) + ("\n" if not str(e).endswith("\n") else "")
     except automata.BudgetExhaustedError:
         return 3, "budget exhausted\n"
-    except (FileNotFoundError, LimitExceededError, GrammarError) as e:
+    except (OSError, UnicodeDecodeError, LimitExceededError, GrammarError) as e:
         return 2, f"error: {e}\n"
 
 

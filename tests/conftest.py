@@ -16,8 +16,9 @@ GRAMMARS = REPO / "grammars"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SWEEP_SEED = 20260810
-SWEEP_RANDOM_COUNT = 20
+SWEEP_RANDOM_COUNT = 30
 SWEEP_MAX_LEN = 6
+AMB_GRAMMAR = "start S\nS -> S S | S '+' S | 'a'"
 
 AUTOMATON_ALGOS = ("lc", "plr", "elr", "pseudo_elr", "cp")
 
@@ -42,8 +43,9 @@ def pseudo_trap() -> AugmentedGrammar:
 
 
 def sweep_grammars() -> list[tuple[str, AugmentedGrammar]]:
-    """The sweep corpus: the expression grammar, two crafted fixtures, and
-    twenty seeded random validated grammars."""
+    """The sweep corpus: the expression grammar, two crafted fixtures,
+    thirty seeded random validated grammars and the highly ambiguous
+    S -> S S | S '+' S | 'a'."""
     out = [
         ("g1", load_grammar("g1.cfg")),
         ("overlap", load_grammar("overlap.cfg")),
@@ -51,6 +53,7 @@ def sweep_grammars() -> list[tuple[str, AugmentedGrammar]]:
     ]
     for k, g in enumerate(random_validated_grammars(SWEEP_SEED, SWEEP_RANDOM_COUNT)):
         out.append((f"rand{k:02d}", augment(g)))
+    out.append(("amb", augment(parse_grammar(AMB_GRAMMAR))))
     return out
 
 

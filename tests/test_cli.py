@@ -131,6 +131,16 @@ def test_usage_errors():
     assert code == 2
 
 
+def test_unreadable_grammar_paths_are_errors(tmp_path):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("start S\nS -> 'é'\n".encode("latin-1"))
+    for path in (str(REPO / "grammars"), str(latin1)):
+        for argv in (["validate", path], ["compare", path, "--", "a"]):
+            code, out = run_command(argv)
+            assert code == 2, argv
+            assert out.startswith("error: ") and "Traceback" not in out, argv
+
+
 def test_commands_without_input_reject_tokens():
     for command, extra in (("validate", []), ("relations", []), ("sentences", ["--max", "2"])):
         code, out = run_command([command, *extra, G1, "--", "a"])

@@ -36,6 +36,8 @@ def test_viable_prefix_empty_on_empty_language():
     g = augment(parse_grammar("start S\nS -> S 'a'"), )
     # start is unproductive (warning only), so nothing extends the empty prefix
     assert not viable_prefix(g, [])
+    assert not derives(g, ["a"])
+    assert sentences_up_to(g, 3) == frozenset()
 
 
 def test_viable_prefix_detects_long_continuations():
@@ -106,3 +108,43 @@ def test_oracle_tables_die_with_their_grammar():
     del g
     gc.collect()
     assert ref() is None
+
+
+# B is unproductive, so S -> 'a' B is a dead rule: never a form, but still an expansion.
+DEAD_RULE_GRAMMAR = "start S\nS -> 'a' B | 'a' 'b' | C\nB -> B 'c'\nC -> 'c' C | 'd'"
+
+
+@pytest.fixture(scope="module")
+def dead_rule():
+    return augment(parse_grammar(DEAD_RULE_GRAMMAR))
+
+
+def test_dead_rules_answers(dead_rule):
+    for w, viable in (("a", True), ("a b", True), ("c c", True), ("a c", False), ("b", False)):
+        assert viable_prefix(dead_rule, w.split()) is viable, w
+    for w, member in (("a b", True), ("c d", True), ("d", True), ("a c", False)):
+        assert derives(dead_rule, w.split()) is member, w
+    got = sentences_up_to(dead_rule, 4)
+    assert got == frozenset(tuple(w.split()) for w in ("a b", "d", "c d", "c c d", "c c c d"))
+
+
+@pytest.mark.parametrize(
+    "grammar, query, arg, least",
+    [
+        ("g1", derives, "a + a", 30),
+        ("g1", derives, "a * a ^ a", 81),
+        ("g1", viable_prefix, "a + a", 30),
+        ("g1", sentences_up_to, 4, 39),
+        ("dead_rule", derives, "c c d", 9),
+        ("dead_rule", viable_prefix, "c c d", 9),
+        ("dead_rule", sentences_up_to, 4, 11),
+    ],
+)
+def test_node_budget_counts_every_rule_tried(request, grammar, query, arg, least):
+    # The least budget that answers.  A dead rule counts as one expansion;
+    # skipping it uncounted would answer at 8, 8 and 10 on dead_rule.
+    g = request.getfixturevalue(grammar)
+    arg = arg.split() if isinstance(arg, str) else arg
+    query(g, arg, node_budget=least)
+    with pytest.raises(LimitExceededError):
+        query(g, arg, node_budget=least - 1)
