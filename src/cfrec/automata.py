@@ -65,34 +65,34 @@ def final_item(algo: str, g: AugmentedGrammar):
     return kind.decode(kind.final)
 
 
-def _successors(kind, toks, cfg) -> dict:
+def _successors(kind, scans, cfg) -> dict:
     """The four clauses on one (stack, pos) of codes: each distinct successor
-    once, mapped to the clause that first produced it, in clause then rule order."""
+    once, mapped to the clause that first produced it, in clause then rule order.
+
+    One step recognizes symbols xs above the k-th stack item: the token
+    ``scans[pos]``, a 1-tuple or () past the input, above the top (clauses
+    1 and 2), then the top's completions above the item below (3 and 4).
+    """
     stack, pos = cfg
-    top = stack[-1]
     out: dict = {}
-    if pos < len(toks):
-        a = toks[pos]
-        allowed = kind.allowed(top)
-        if allowed:
-            for item in kind.start(a, allowed):
-                out.setdefault((stack + (item,), pos + 1), 1)
-        item = kind.advance(top, a)
-        if item is not None:
-            out.setdefault((stack[:-1] + (item,), pos + 1), 2)
-    if len(stack) >= 2:
-        reducible = kind.reducible(top)
-        if reducible:
-            below = stack[-2]
-            allowed = kind.allowed(below)
-            for a_lhs in reducible if allowed else ():
-                for item in kind.start(a_lhs, allowed):
-                    out.setdefault((stack[:-1] + (item,), pos), 3)
-            for a_lhs in reducible:
-                item = kind.advance(below, a_lhs)
+    k = len(stack)
+    xs, p, clause = scans[pos], pos + 1, 1
+    while True:
+        if xs:
+            under = stack[k - 1]
+            allowed = kind.allowed(under)
+            if allowed:
+                for x in xs:
+                    for item in kind.start(x, allowed):
+                        out.setdefault((stack[:k] + (item,), p), clause)
+            for x in xs:
+                item = kind.advance(under, x)
                 if item is not None:
-                    out.setdefault((stack[:-2] + (item,), pos), 4)
-    return out
+                    out.setdefault((stack[: k - 1] + (item,), p), clause + 1)
+        if clause == 3 or k < 2:
+            return out
+        xs, p, clause = kind.reducible(stack[-1]), pos, 3
+        k -= 1
 
 
 def _decode_configuration(decode, cfg) -> Configuration:
@@ -102,13 +102,17 @@ def _decode_configuration(decode, cfg) -> Configuration:
 
 def successors_with_clauses(algo, g, tokens, cfg) -> tuple[tuple[int, Configuration], ...]:
     """One-step successors with the clause that produced each, deduplicated
-    in clause order then grammar rule order."""
+    in clause order then grammar rule order.  A position outside
+    0..len(tokens) raises `ValueError`."""
     kind = item_kind(algo, g)
     if not cfg.stack:
         raise KindMismatchError(f"empty configuration stack (algo {algo!r})")
     code = (tuple(map(kind.encode, cfg.stack)), cfg.pos)
+    toks = g.idx.token_ids(tokens)
+    if not 0 <= cfg.pos <= len(toks):
+        raise ValueError(f"position {cfg.pos} is outside 0..{len(toks)}")
     decode = kind.decoder()
-    succ = _successors(kind, g.idx.token_ids(tokens), code)
+    succ = _successors(kind, [(t,) for t in toks] + [()], code)
     return tuple((clause, _decode_configuration(decode, conf)) for conf, clause in succ.items())
 
 
@@ -116,7 +120,7 @@ def successors(algo, g, tokens, cfg) -> tuple[Configuration, ...]:
     return tuple(conf for _, conf in successors_with_clauses(algo, g, tokens, cfg))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Exploration:
     accepted: bool
     visited: set
@@ -126,14 +130,17 @@ class Exploration:
     budget_exhausted: bool
 
 
-def _search(kind, toks, budget: int, parents: dict | None = None) -> Exploration:
+def _search(kind, toks, budget: int, parents: dict | None = None) -> tuple:
     """Breadth-first search over distinct configurations of codes.
 
-    The configurations in `visited` are (stack of codes, pos) pairs.  Given
+    Returns (accepted, visited, max_frontier, choice_points,
+    budget_exhausted), where `visited` holds (stack of codes, pos) pairs; a
+    tuple, because a frozen result costs a microsecond per search.  Given
     a `parents` dict, the search records there each configuration's
     (parent, clause) link, the initial one's None, and stops at acceptance.
     """
     n = len(toks)
+    scans = [(t,) for t in toks] + [()]
     init = ((kind.init,), 0)
     fin = ((kind.final,), n)
     visited = {init}
@@ -148,7 +155,7 @@ def _search(kind, toks, budget: int, parents: dict | None = None) -> Exploration
         if accepted and parents is not None:
             break
         cfg = queue.popleft()
-        succ = _successors(kind, toks, cfg)
+        succ = _successors(kind, scans, cfg)
         if len(succ) >= 2:
             choice_points += 1
         for conf, clause in succ.items():
@@ -167,14 +174,7 @@ def _search(kind, toks, budget: int, parents: dict | None = None) -> Exploration
             max_frontier = len(queue)
         if truncated:
             break
-    return Exploration(
-        accepted=accepted,
-        visited=visited,
-        configurations_explored=len(visited),
-        max_frontier=max_frontier,
-        choice_points=choice_points,
-        budget_exhausted=truncated and not accepted,
-    )
+    return accepted, visited, max_frontier, choice_points, truncated and not accepted
 
 
 def explore(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> Exploration:
@@ -185,22 +185,18 @@ def explore(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET
     accepting configuration happens to sit in the search order.
     """
     kind = item_kind(algo, g)
-    ex = _search(kind, g.idx.token_ids(tokens), budget)
+    accepted, visited, max_frontier, choice_points, exhausted = _search(kind, g.idx.token_ids(tokens), budget)
     decode = kind.decoder()
-    ex.visited = {_decode_configuration(decode, cfg) for cfg in ex.visited}
-    return ex
+    decoded = {_decode_configuration(decode, cfg) for cfg in visited}
+    return Exploration(accepted, decoded, len(visited), max_frontier, choice_points, exhausted)
 
 
 def recognize(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> RecognitionResult:
     """Accept iff a final configuration is reachable; exhaustive with dedup."""
-    ex = _search(item_kind(algo, g), g.idx.token_ids(tokens), budget)
-    return RecognitionResult(
-        accepted=ex.accepted,
-        configurations_explored=ex.configurations_explored,
-        max_frontier=ex.max_frontier,
-        choice_points=ex.choice_points,
-        budget_exhausted=ex.budget_exhausted,
+    accepted, visited, max_frontier, choice_points, exhausted = _search(
+        item_kind(algo, g), g.idx.token_ids(tokens), budget
     )
+    return RecognitionResult(accepted, len(visited), max_frontier, choice_points, exhausted)
 
 
 def accepting_trace(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> Trace | None:
@@ -212,9 +208,9 @@ def accepting_trace(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAUL
     kind = item_kind(algo, g)
     toks = g.idx.token_ids(tokens)
     parents: dict = {}
-    ex = _search(kind, toks, budget, parents)
-    if not ex.accepted:
-        if ex.budget_exhausted:
+    accepted, _, _, _, exhausted = _search(kind, toks, budget, parents)
+    if not accepted:
+        if exhausted:
             raise BudgetExhaustedError(f"visited-set budget {budget} exhausted before acceptance")
         return None
     decode = kind.decoder()

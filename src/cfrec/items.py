@@ -16,8 +16,11 @@ has an initial and a final item and four primitives:
 - ``advance(item, X)``: the item after recognizing X, or None;
 - ``reducible(item)``: the left-hand sides that ``item`` completes.
 
-With ``top`` the item on the stack top, ``below`` the one under it and
-``a`` the next token, the clauses are
+The clauses are two operations on a symbol X recognized above an item u:
+push ``start(X, allowed(u))`` (clauses 1 and 3) or replace u by
+``advance(u, X)`` (2 and 4).  X is the next token ``a`` above the stack
+top ``top``, or a left-hand side A that ``top`` completes above the item
+``below`` under it:
 
 1. push ``start(a, allowed(top))``;
 2. replace ``top`` by ``advance(top, a)``;
@@ -26,10 +29,12 @@ With ``top`` the item on the stack top, ``below`` the one under it and
    ``advance(below, A)``.
 
 The stack engine in `automata` and the chart engine in `tabular` both run
-these primitives and nothing else.  They run them on codes over the
-grammar's compiled index (see `grammar._GrammarIndex`), never on the
-public item classes: a symbol is an int id, a nonterminal set an int mask
-and a rule prefix a trie node id.  The codes are
+these primitives and nothing else, one step for both kinds of X (a chart
+column's scan reads the same step list as its reductions).  They run
+them on codes over the grammar's compiled index (see
+`grammar._GrammarIndex`), never on the public item classes: a symbol is
+an int id, a nonterminal set an int mask and a rule prefix a trie node
+id.  The codes are
 
 - lc: ``(rule id, dot)``;
 - plr, elr and pseudo_elr: ``(prefix node, lhs mask)``;

@@ -17,14 +17,15 @@ prediction set of each column, computed once.  predict_sets names that
 same schedule.  naive fires once per context item and keeps the items
 apart, as a redundancy baseline.
 
-Clauses 3 and 4 of an item in cell (j, i) read only j, the left-hand
-side A it completes, the filters of column j and the items of column j,
-which is closed.  So each column reduces each (j, A) once: a later item
-that completes A from j could only re-add what the first one added, and
-is skipped.  The filters of a column are fixed when it closes.  Clause 4
-reads, per closed column j and tuple of left-hand sides an item newly
-completes from j, the list of (start, ``advance(context, A)``) over the
-contexts of column j and then those left-hand sides, built on first use.
+Every clause is one step on a symbol X recognized from column j up to
+i: X starts the rules it begins under the filters of column j (clause 1
+for a token, 3 for a left-hand side) and advances the items of column j
+(clause 2 or 4).  So the scan of column i is the step for token i - 1
+from column i - 1, and a reduction the step for the left-hand sides A an
+item in cell (j, i) completes.  A step reads only j, X and column j,
+whose filters and items are fixed when it closes.  So each column reduces
+each (j, A) once, and a step's advance list is built on first use per j
+and symbols; a column's scan reads the same cache as its reductions.
 The row-wise builder keeps the distinct (end, A) reductions of each
 finished row for the same reason.
 
@@ -160,10 +161,11 @@ def _result(kind, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
 def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -> ChartResult:
     """The chart of one item kind, closed column by column.
 
-    Column i holds its items as [cell, code] records.  Clauses 1 and 2
-    over column i - 1 seed it, and an agenda of its own records closes it:
-    a record in cell (j, i) fires clauses 3 and 4 against the items of
-    column j.  Validation rejects epsilon rules, so j < i for every record
+    Column i holds its items as [cell, code] records, in insertion order.
+    Token i - 1, recognized from column i - 1, seeds it (clauses 1 and 2),
+    and an agenda of its own records closes it: the left-hand sides that
+    a record in cell (j, i) completes are recognized from j (clauses 3
+    and 4).  Validation rejects epsilon rules, so j < i for every record
     that completes a rule, and column j is already closed.  Column i
     fires each (j, A) reduction once, for the first record that completes
     A from j.
@@ -180,81 +182,77 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
     toks = g.idx.token_ids(tokens)
     n = len(toks)
     pop = _agenda(agenda_order, seed)
-    columns: list[list] = []
+    columns: list[list] = []  # per closed column: its [cell, code] records
     filters: list = []  # per closed column k: the allowed masks for clauses 1 and 3 at k
-    steps: dict[tuple[int, ...], list] = {}  # (j, *completes) -> clause-4 steps
+    steps: dict[tuple[int, ...], list] = {}  # (j, *symbols) -> clause-2 or clause-4 steps
     firings: list = []
     size = 0
+    i = 0  # the open column
+    found: dict = {}  # its records by key
+    reduced: set = set()  # its (j, A) reductions
+    agenda: deque = deque()
+
+    def add(j, item, clause):
+        nonlocal size
+        key = (j, item[0]) if join else (j, item)
+        rec = found.get(key)
+        if rec is None:
+            if size >= budget:
+                raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
+            size += 1
+            rec = found[key] = [(j, i), item]
+        else:
+            if not join:
+                return
+            item = kind.join(rec[1], item)
+            if item is None:
+                return
+            rec[1] = item
+        firings.append((clause, rec[0], item))
+        agenda.append(rec)
+
+    def recognized(j, xs, clause):
+        # Clause 1 or 3 starts rules, then 2 or 4 advances column j, context
+        # first; tokens share `steps` with nonterminals, as their ids differ.
+        for ok in filters[j]:
+            for x in xs:
+                for nxt in start(x, ok):
+                    add(j, nxt, clause)
+        key = (j, *xs)
+        targets = steps.get(key)
+        if targets is None:
+            targets = steps[key] = []
+            for ctx_cell, ctx in columns[j]:
+                for x in xs:
+                    if (nxt := advance(ctx, x)) is not None:
+                        targets.append((ctx_cell[0], nxt))
+        for ctx_start, nxt in targets:
+            add(ctx_start, nxt, clause + 1)
 
     for i in range(n + 1):
-        col: list = []
-        columns.append(col)
-        found: dict = {}
-        reduced: set = set()
-        agenda: deque = deque()
-
-        def add(j, item, clause):
-            nonlocal size
-            key = (j, item[0]) if join else (j, item)
-            rec = found.get(key)
-            if rec is None:
-                if size >= budget:
-                    raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
-                size += 1
-                rec = found[key] = [(j, i), item]
-                col.append(rec)
-            else:
-                if not join:
-                    return
-                item = kind.join(rec[1], item)
-                if item is None:
-                    return
-                rec[1] = item
-            firings.append((clause, rec[0], item))
-            agenda.append(rec)
-
         if i == 0:
             add(0, kind.init, 0)
         else:
-            a = toks[i - 1]
-            for ok in filters[i - 1]:
-                for item in start(a, ok):
-                    add(i - 1, item, 1)
-            for cell, item in columns[i - 1]:
-                nxt = advance(item, a)
-                if nxt is not None:
-                    add(cell[0], nxt, 2)
+            recognized(i - 1, (toks[i - 1],), 1)
         while agenda:
             cell, item = pop(agenda)
             j = cell[0]
             completes = [a_lhs for a_lhs in reducible(item) if (j, a_lhs) not in reduced]
-            if not completes:
-                continue
-            reduced.update((j, a_lhs) for a_lhs in completes)
-            for ok in filters[j]:
-                for a_lhs in completes:
-                    for nxt in start(a_lhs, ok):
-                        add(j, nxt, 3)
-            key = (j, *completes)
-            targets = steps.get(key)
-            if targets is None:
-                # Context first, then left-hand side.
-                targets = steps[key] = [
-                    (ctx_cell[0], nxt)
-                    for ctx_cell, ctx in columns[j]
-                    for a_lhs in completes
-                    if (nxt := advance(ctx, a_lhs)) is not None
-                ]
-            for ctx_start, nxt in targets:
-                add(ctx_start, nxt, 4)
+            if completes:
+                reduced.update((j, a_lhs) for a_lhs in completes)
+                recognized(j, completes, 3)
 
+        # A closed column keeps its records only, so `found`'s keys are freed.
+        columns.append(list(found.values()))
+        found.clear()
+        reduced.clear()
         if contexts is None:
             filters.append((g.idx.all_nonterminals,))
         elif contexts == "each":
-            filters.append([allowed(item) for _, item in col])
+            filters.append([allowed(item) for _, item in columns[i]])
         else:
             union = 0
-            for _, item in col:
+            for _, item in columns[i]:
                 union |= allowed(item)
             filters.append((union,))
 
@@ -294,7 +292,6 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
     toks = g.idx.token_ids(tokens)
     n = len(toks)
     reductions: dict[int, dict] = {}  # start -> {(end, lhs): None} of a finished row
-    pairs: list = []
     firings: list = []
     size = 0
 
@@ -311,7 +308,6 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
                 raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
             size += 1
             found.add((i, item))
-            pairs.append(((h, i), item))
             firings.append((clause, (h, i), item))
             worklist.append((i, item))
 
@@ -343,7 +339,7 @@ def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEF
                     add(end, nxt, 4)
         reductions[h] = reduced
 
-    return _result(kind, g, n, pairs, firings)
+    return _result(kind, g, n, ((cell, item) for _, cell, item in firings), firings)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")
@@ -379,11 +375,11 @@ def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
     """Left corners of the nonterminals expected right after position i.
 
     The chart must hold set items over g's rule prefixes; any other item
-    raises `KindMismatchError`, a `TypeError`.  A negative column raises
-    `ValueError`.
+    raises `KindMismatchError`, a `TypeError`.  A column outside 0..n
+    raises `ValueError`.
     """
-    if i < 0:
-        raise ValueError(f"column {i} is negative")
+    if not 0 <= i <= chart.n:
+        raise ValueError(f"column {i} is outside 0..{chart.n}")
     if i > chart.completed_through:
         raise ColumnIncompleteError(f"column {i} is not complete (chart built through {chart.completed_through})")
     elr = item_kind("elr", g)

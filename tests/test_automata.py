@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from cfrec.automata import (
@@ -82,6 +84,19 @@ def test_successors_reject_items_of_another_grammar(g1, overlap):
 def test_successors_reject_an_empty_stack(g1):
     with pytest.raises(KindMismatchError):
         successors_with_clauses("lc", g1, ["a"], Configuration((), 0))
+
+
+@pytest.mark.parametrize("algo", ["lc", "plr", "elr", "pseudo_elr", "cp"])
+def test_successors_reject_a_position_outside_the_input(g1, algo):
+    # Python would read -1 as the last token; past the input nothing is scanned.
+    tokens = ["a", "*", "a"]
+    init = initial_configuration(algo, g1)
+    for pos in (-1, len(tokens) + 1):
+        with pytest.raises(ValueError, match=f"position {pos} is outside 0..3"):
+            successors_with_clauses(algo, g1, tokens, Configuration(init.stack, pos))
+        with pytest.raises(ValueError):
+            successors(algo, g1, tokens, Configuration(init.stack, pos))
+    assert successors_with_clauses(algo, g1, tokens, Configuration(init.stack, len(tokens))) == ()
 
 
 @pytest.mark.parametrize("algo", ["elr", "pseudo_elr"])
@@ -212,6 +227,15 @@ def test_pseudo_visits_superset_of_elr_shapes(g1):
         shadow = {(c.pos, tuple(i.alpha for i in c.stack)) for c in loose.visited}
         for c in full.visited:
             assert (c.pos, tuple(i.alpha for i in c.stack)) in shadow
+
+
+def test_exploration_is_frozen(g1):
+    ex = explore("lc", g1, ["a"])
+    with pytest.raises(FrozenInstanceError):
+        ex.visited = set()
+    with pytest.raises(FrozenInstanceError):
+        ex.accepted = False
+    assert ex.accepted and initial_configuration("lc", g1) in ex.visited
 
 
 def test_final_items(g1):

@@ -14,7 +14,7 @@ import pytest
 
 from cfrec import augment, parse_grammar, recognize, tabular_cp, tabular_cp_unfiltered_by_rows, tabular_elr
 
-from conftest import load_grammar
+from conftest import AMB_GRAMMAR, load_grammar
 
 G1_INPUT = "a ^ a + a ** a * a * a * a ** a * a * a + a * a ** a ** a + a * a + a".split()
 AMB_INPUT = "a + a + a + a + a + a a a a + a + a + a + a + a a a a + a + a a a a a a".split()
@@ -111,7 +111,7 @@ def test_chart_counts_on_g1(builder):
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_chart_counts_on_the_ambiguous_grammar(builder):
-    amb = augment(parse_grammar("start S\nS -> S S | S '+' S | 'a'\n"))
+    amb = augment(parse_grammar(AMB_GRAMMAR))
     res = BUILDERS[builder](amb, AMB_INPUT)
     assert res.accepted
     assert _counts(res) == AMB_CHARTS[builder]

@@ -17,7 +17,7 @@ from cfrec.tabular import (
     tabular_elr,
 )
 
-from conftest import load_grammar
+from conftest import AMB_GRAMMAR, load_grammar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -150,6 +150,10 @@ def test_predict_set_column_incomplete(g1):
     assert predict_set(partial, g1, 0).nonterminals == frozenset({E, T, F})
     with pytest.raises(ValueError, match="column -1"):
         predict_set(partial, g1, -1)
+    # Past n the column does not exist at all, complete or not.
+    for chart in (partial, res.chart):
+        with pytest.raises(ValueError, match="column 2 is outside 0..1"):
+            predict_set(chart, g1, 2)
 
 
 def test_agenda_orders_reach_the_same_fixpoint(g1):
@@ -242,7 +246,7 @@ PROVENANCE_BUILDERS = {
 # 'a' 'a' completes both S and A, so clause 4 interleaves contexts and
 # left-hand sides.
 INLINE_GRAMMARS = {
-    "amb": "start S\nS -> S S | S '+' S | 'a'\n",
+    "amb": AMB_GRAMMAR,
     "two_lhs": "start S\nS -> 'a' 'a' | A\nA -> 'a' 'a' | 'a' | 'a' A | 'a' S S\n",
 }
 PROVENANCE_INPUTS = (
