@@ -123,7 +123,7 @@ def successors(algo, g, tokens, cfg) -> tuple[Configuration, ...]:
 @dataclass(frozen=True)
 class Exploration:
     accepted: bool
-    visited: set
+    visited: frozenset
     configurations_explored: int
     max_frontier: int
     choice_points: int
@@ -187,7 +187,7 @@ def explore(algo: str, g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET
     kind = item_kind(algo, g)
     accepted, visited, max_frontier, choice_points, exhausted = _search(kind, g.idx.token_ids(tokens), budget)
     decode = kind.decoder()
-    decoded = {_decode_configuration(decode, cfg) for cfg in visited}
+    decoded = frozenset(_decode_configuration(decode, cfg) for cfg in visited)
     return Exploration(accepted, decoded, len(visited), max_frontier, choice_points, exhausted)
 
 

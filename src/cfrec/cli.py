@@ -5,11 +5,16 @@ Input tokens are passed as separate shell arguments after ``--``; each
 argument is one terminal name, so quoting of operator tokens is the
 shell's job.  Exit codes: 0 accepted/ok, 1 rejected, 2 usage or grammar
 error, 3 budget exhausted.
+
+The argument parser is built once per process, on the first
+`run_command`, and shared by every later call and thread: parsing only
+reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +32,8 @@ from .items import render_item
 from .oracle import LimitExceededError
 
 _ALGO_CLI_TO_INTERNAL = {algo.replace("_", "-"): algo for algo in automata.ALGORITHMS}
+
+_TOKENLESS = ("validate", "relations", "sentences")  # commands that take no input tokens
 
 # The builders look their function up on the `tabular` module at each call, so one replaced there is the one run.
 _TABLE_BUILDERS = {
@@ -58,6 +65,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="cfrec", description="Context-free recognition workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -113,8 +121,6 @@ def _quote_tokens(tokens) -> str:
 
 
 def _cmd_validate(args, tokens):
-    if tokens:
-        raise _UsageError("validate takes no input tokens")
     with open(args.file, encoding="utf-8") as fh:
         g = parse_grammar(fh.read())
     report = validate(g)
@@ -128,8 +134,6 @@ def _cmd_validate(args, tokens):
 
 
 def _cmd_relations(args, tokens):
-    if tokens:
-        raise _UsageError("relations takes no input tokens")
     g = _load(args.file)
     lc = left_corner(g)
     star = left_corner_star(lc, g)
@@ -248,8 +252,6 @@ def _cmd_compare(args, tokens):
 
 
 def _cmd_sentences(args, tokens):
-    if tokens:
-        raise _UsageError("sentences takes no input tokens")
     g = _load(args.file)
     found = oracle.sentences_up_to(g, args.max)
     lines = [_quote_tokens(s) for s in sorted(found, key=lambda s: (len(s), s))]
@@ -264,9 +266,10 @@ def run_command(argv) -> tuple[int, str]:
         head, tokens = argv[:cut], argv[cut + 1 :]
     else:
         head, tokens = argv, []
-    parser = _build_parser()
     try:
-        args = parser.parse_args(head)
+        args = _build_parser().parse_args(head)
+        if tokens and args.command in _TOKENLESS:
+            raise _UsageError(f"{args.command} takes no input tokens")
         return args.func(args, tokens)
     except _UsageError as e:
         return 2, str(e) + ("\n" if not str(e).endswith("\n") else "")

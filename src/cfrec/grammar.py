@@ -335,6 +335,17 @@ def validate(g: Grammar) -> ValidationReport:
     return ValidationReport(ok=ok, diagnostics=tuple(diags))
 
 
+def encode_tokens(tokens, codes: dict[str, int]) -> tuple[int, ...]:
+    """Map token names to their codes in `codes`; unknown names are errors."""
+    out = []
+    for t in tokens:
+        k = codes.get(t)
+        if k is None:
+            raise UnknownTokenError(t)
+        out.append(k)
+    return tuple(out)
+
+
 class _GrammarIndex:
     """The augmented rules compiled to small ints.
 
@@ -368,8 +379,8 @@ class _GrammarIndex:
         self.lhs = tuple(self.ids[r.lhs] for r in self.rules)
         self.rhs = tuple(tuple(self.ids[s] for s in r.rhs) for r in self.rules)
         by_first: dict[int, list[int]] = {}
-        for r in aug.rules_dagger:
-            by_first.setdefault(self.ids[r.rhs[0]], []).append(rule_id[r])
+        for r, rhs in enumerate(self.rhs):
+            by_first.setdefault(rhs[0], []).append(r)
         self.rules_by_first = {x: tuple(rs) for x, rs in by_first.items()}
 
         self.prefixes: list[tuple[Symbol, ...]] = [()]
@@ -407,14 +418,7 @@ class _GrammarIndex:
         return frozenset(self.symbols[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
     def token_ids(self, tokens) -> tuple[int, ...]:
-        """Map token names to terminal ids; unknown names are errors."""
-        out = []
-        for t in tokens:
-            k = self.terminal_ids.get(t)
-            if k is None:
-                raise UnknownTokenError(t)
-            out.append(k)
-        return tuple(out)
+        return encode_tokens(tokens, self.terminal_ids)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .grammar import AugmentedGrammar, UnknownTokenError, min_yields
+from .grammar import AugmentedGrammar, encode_tokens, min_yields
 
 MAX_SENTENCE_TOKENS = 10
 NODE_BUDGET = 10_000_000
@@ -55,16 +55,6 @@ class _Oracle:
             live = all(self.min_yield[s] is not None for s in rhs)
             rules[code[r.lhs]].append(rhs if live else None)
         self.rules = tuple(map(tuple, rules))
-
-    def encode(self, tokens) -> tuple[int, ...]:
-        """Map token names to terminal codes; unknown names are errors."""
-        out = []
-        for t in tokens:
-            k = self.token_codes.get(t)
-            if k is None:
-                raise UnknownTokenError(t)
-            out.append(k)
-        return tuple(out)
 
 
 def _forms(ob: _Oracle, matched, normalize, node_budget: int, what: str):
@@ -106,7 +96,7 @@ def _forms(ob: _Oracle, matched, normalize, node_budget: int, what: str):
 def derives(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -> bool:
     """True iff the start symbol derives exactly the given token string."""
     ob = g.memo(_Oracle)
-    w = ob.encode(tokens)
+    w = encode_tokens(tokens, ob.token_codes)
     n = len(w)
     nt = ob.nt
     min_yield = ob.min_yield.__getitem__
@@ -139,7 +129,7 @@ def viable_prefix(g: AugmentedGrammar, tokens, node_budget: int = NODE_BUDGET) -
     space finite without a guessed length bound.
     """
     ob = g.memo(_Oracle)
-    w = ob.encode(tokens)
+    w = encode_tokens(tokens, ob.token_codes)
     n = len(w)
     nt = ob.nt
 

@@ -31,17 +31,19 @@ finished row for the same reason.
 
 The engine runs on item codes (see `items`).  Public items are built
 only for the result: `_result` decodes the cells, each distinct set of
-codes once, and provenance is kept as (clause, cell, code) firings and
-decoded on first read.  Every builder stops with `BudgetExhaustedError`
-before its chart would hold more than `budget` distinct items.
+codes once, into a read-only mapping, and provenance is kept as (clause,
+cell, code) firings and decoded on first read.  Every builder stops with
+`BudgetExhaustedError` before its chart would hold more than `budget`
+distinct items.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .grammar import AugmentedGrammar, Symbol, render_symbols
 from .items import DEFAULT_BUDGET, BudgetExhaustedError, ELRItem, item_kind, render_delta, render_item
@@ -54,7 +56,7 @@ class ColumnIncompleteError(Exception):
 @dataclass(frozen=True)
 class Chart:
     n: int
-    cells: dict
+    cells: Mapping
     completed_through: int
 
     def cell(self, j: int, i: int) -> frozenset:
@@ -74,35 +76,31 @@ class ProvenanceEntry:
     item: object
 
 
-_DECODING = threading.Lock()
-
-
 @dataclass(frozen=True, eq=False)
 class ChartResult:
     """A chart, its verdict, and the clause firings that built it.
 
     `provenance` has one entry per firing that added an item or grew its
     set, in firing order.  The builder keeps the firings as (clause, cell,
-    code) triples; they are decoded once, on first read, under a lock, so
-    every thread reads the same tuple.
+    code) triples with the item kind that decodes them.  They are decoded
+    on first read and the tuple is published with `dict.setdefault`, as
+    `AugmentedGrammar.memo` does: two threads may both decode, and every
+    thread gets the tuple stored first.
     """
 
     chart: Chart
     accepted: bool
     items_added: int
-    _firings: tuple = field(repr=False)  # (decode, [(clause, cell, code), ...]) until decoded
+    _firings: tuple = field(repr=False)  # (kind, [(clause, cell, code), ...])
 
     @property
     def provenance(self) -> tuple[ProvenanceEntry, ...]:
         entries = self.__dict__.get("_provenance")
         if entries is None:
-            with _DECODING:
-                entries = self.__dict__.get("_provenance")
-                if entries is None:
-                    decode, firings = self._firings
-                    entries = tuple(ProvenanceEntry(c, cell, decode(code)) for c, cell, code in firings)
-                    object.__setattr__(self, "_provenance", entries)
-                    object.__setattr__(self, "_firings", None)
+            kind, firings = self._firings
+            decode = kind.decoder()
+            entries = tuple(ProvenanceEntry(c, cell, decode(code)) for c, cell, code in firings)
+            entries = self.__dict__.setdefault("_provenance", entries)
         return entries
 
     def __eq__(self, other):
@@ -136,7 +134,7 @@ def _agenda(order: str, seed: int | None):
 def _result(kind, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
     """The chart of the distinct (cell, code) pairs, decoded; it accepts when
     an item spanning the input completes the start rule.  Cells that hold
-    the same codes share one decoded frozenset."""
+    the same codes share one decoded frozenset; the cells are read-only."""
     decode = kind.decoder()
     cells: dict[tuple[int, int], list] = {}
     for cell, item in pairs:
@@ -151,10 +149,10 @@ def _result(kind, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
             found = decoded[key] = frozenset(map(decode, items))
         public[cell] = found
     return ChartResult(
-        chart=Chart(n=n, cells=public, completed_through=n),
+        chart=Chart(n=n, cells=MappingProxyType(public), completed_through=n),
         accepted=any(sp in kind.reducible(item) for item in cells.get((0, n), ())),
         items_added=sum(len(items) for items in cells.values()),
-        _firings=(decode, firings),
+        _firings=(kind, firings),
     )
 
 
@@ -384,10 +382,9 @@ def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:
         raise ColumnIncompleteError(f"column {i} is not complete (chart built through {chart.completed_through})")
     elr = item_kind("elr", g)
     mask = 0
-    for (j, k), items in chart.cells.items():
-        if k == i:
-            for item in items:
-                mask |= elr.allowed(elr.encode(item))
+    for j in range(i + 1):
+        for item in chart.cell(j, i):
+            mask |= elr.allowed(elr.encode(item))
     return PredictSet(i=i, nonterminals=g.idx.nonterminal_set(mask))
 
 

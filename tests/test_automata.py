@@ -235,6 +235,8 @@ def test_exploration_is_frozen(g1):
         ex.visited = set()
     with pytest.raises(FrozenInstanceError):
         ex.accepted = False
+    with pytest.raises(AttributeError):
+        ex.visited.add(initial_configuration("lc", g1))
     assert ex.accepted and initial_configuration("lc", g1) in ex.visited
 
 

@@ -2,9 +2,10 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
-from cfrec import automata, tabular
+from cfrec import automata, cli, tabular
 from cfrec.automata import accepting_trace
 from cfrec.cli import main, render_trace, run_command
 from trace_parser import parse_trace_line
@@ -239,3 +240,41 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "accepted\n"
+
+
+def test_threads_share_one_parser():
+    argvs = [
+        ["recognize", "--algo", "lc", "--trace", G1, "--", "a", "*", "a"],
+        ["recognize", "--algo", "pseudo-elr", G1, "--", "a", "+"],
+        ["table", "--algo", "elr-naive", G1, "--", "a", "^", "a"],
+        ["compare", "--budget", "3", G1, "--", "a", "+", "a"],
+        ["compare", OVERLAP, "--", "m", "a"],
+        ["compare", G1, "--", "a", "**", "a", "+", "a"],
+        ["relations", OVERLAP],
+        ["sentences", "--max", "3", G1],
+        ["validate", G1, "--", "a"],
+        ["recognize", "--algo", "slr", G1, "--", "a"],
+        ["table", "--budget", "5", G1],
+    ]
+    want = [run_command(argv) for argv in argvs]
+    assert {code for code, _ in want} >= {0, 1, 2, 3}
+    barrier = threading.Barrier(4)
+    got = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        got[k] = [run_command(argv) for _ in range(5) for argv in argvs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(outputs == want * 5 for outputs in got)
+    assert cli._build_parser() is cli._build_parser()

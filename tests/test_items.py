@@ -88,6 +88,12 @@ def test_item_kind_rejects_an_unknown_algorithm(g1):
         item_kind("slr", g1)
 
 
+def test_duplicate_rules_start_once():
+    g = augment(parse_grammar("start S\nS -> 'a' | 'a' | S 'b'"))
+    a = g.idx.ids[term("a")]
+    assert item_kind("lc", g).start(a, g.idx.all_nonterminals) == [(0, 1)]
+
+
 def test_plr_item_pairs_with_singleton_delta_are_valid_elr_items(g1):
     for item in plr_items(g1):
         assert elr_item_is_valid({item.lhs}, item.alpha, g1)

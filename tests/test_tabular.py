@@ -196,6 +196,13 @@ def test_items_added_counts_distinct_items(g1):
     assert res.items_added == sum(len(v) for v in res.chart.cells.values())
 
 
+def test_chart_cells_are_read_only(g1):
+    res = tabular_cp(g1, ["a"])
+    with pytest.raises(TypeError):
+        res.chart.cells[(0, 0)] = frozenset()
+    assert res.accepted and res.chart.cell(0, 0)
+
+
 def test_predict_set_rejects_bare_prefix_charts(g1):
     res = tabular_cp(g1, ["a"])
     with pytest.raises(TypeError):
