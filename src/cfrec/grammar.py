@@ -458,10 +458,6 @@ class AugmentedGrammar:
     def terminals(self) -> frozenset[Symbol]:
         return self.base.terminals
 
-    def tokens_to_symbols(self, tokens) -> tuple[Symbol, ...]:
-        """Map token names to declared terminals; unknown names are errors."""
-        return tuple(self.idx.symbols[k] for k in self.idx.token_ids(tokens))
-
 
 def augment(g: Grammar, allow_unit_cycles: bool = False) -> AugmentedGrammar:
     """Extend a validated grammar with a fresh start symbol and start rule."""

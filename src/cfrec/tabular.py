@@ -5,29 +5,29 @@ every stack whose top item was pushed after token j and has recognized
 the tokens up to i; the item below it is one that ends at j.  This is
 Lang's tabulation of a push-down automaton, and it lets one engine run
 the four clauses of any item kind (see `items`) as an agenda-driven
-least fixpoint, closing one column i at a time.
+least fixpoint.
 
-The bare-prefix chart (`tabular_cp`) has a switch for top-down filtering.
-Without it no cell depends on a cell with a smaller start, so the chart
-can also be built row by row (`tabular_cp_unfiltered_by_rows`).  The
-set-item chart (`tabular_elr`) has three variants.  merged joins, per cell
-and prefix, the nonterminal sets of every clause instance, so each
-subderivation is represented by at most one item; it filters with the
-prediction set of each column, computed once.  predict_sets names that
-same schedule.  naive fires once per context item and keeps the items
-apart, as a redundancy baseline.
+The engine closes the chart one position at a time, in one of two
+visiting orders of that fixpoint: column by column, left to right, or
+row by row, highest start first.  The bare-prefix chart (`tabular_cp`)
+has a switch for top-down filtering.  A filter at j depends on the rows
+above j, which the row order has not yet built; without it no cell
+depends on a cell with a smaller start, so the unfiltered chart can
+also be built in row order (`tabular_cp_unfiltered_by_rows`).  The set-item chart (`tabular_elr`)
+has three variants.  merged joins, per cell and prefix, the nonterminal
+sets of every clause instance, so each subderivation is represented by
+at most one item; it filters with the prediction set of each column,
+computed once.  predict_sets names that same schedule.  naive fires once
+per context item and keeps the items apart, as a redundancy baseline.
 
-Every clause is one step on a symbol X recognized from column j up to
-i: X starts the rules it begins under the filters of column j (clause 1
-for a token, 3 for a left-hand side) and advances the items of column j
-(clause 2 or 4).  So the scan of column i is the step for token i - 1
-from column i - 1, and a reduction the step for the left-hand sides A an
-item in cell (j, i) completes.  A step reads only j, X and column j,
-whose filters and items are fixed when it closes.  So each column reduces
-each (j, A) once, and a step's advance list is built on first use per j
-and symbols; a column's scan reads the same cache as its reductions.
-The row-wise builder keeps the distinct (end, A) reductions of each
-finished row for the same reason.
+Every clause is one step on a symbol X recognized from position j up to
+i: X starts the rules it begins under the filters of j (clause 1 for a
+token, 3 for a left-hand side) and advances the items ending at j
+(clause 2 or 4).  Each start j keeps the (i, A) completions recognized
+from it, in order, so each is recognized once; in row order the rows
+below j read them as contexts.  A step's advance list is built on first
+use per j and symbols, and a token's scan reads the same cache as the
+reductions.
 
 The engine runs on item codes (see `items`).  Public items are built
 only for the result: `_result` decodes the cells, each distinct set of
@@ -156,49 +156,55 @@ def _result(kind, g: AugmentedGrammar, n: int, pairs, firings) -> ChartResult:
     )
 
 
-def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -> ChartResult:
-    """The chart of one item kind, closed column by column.
+def _chart(g, tokens, algo, contexts, join, agenda_order, seed, budget, by_rows=False) -> ChartResult:
+    """The chart of one item kind, closed one position k at a time: column k
+    in column order (k = 0..n), row k in row order (k = n..0).
 
-    Column i holds its items as [cell, code] records, in insertion order.
-    Token i - 1, recognized from column i - 1, seeds it (clauses 1 and 2),
-    and an agenda of its own records closes it: the left-hand sides that
-    a record in cell (j, i) completes are recognized from j (clauses 3
-    and 4).  Validation rejects epsilon rules, so j < i for every record
-    that completes a rule, and column j is already closed.  Column i
-    fires each (j, A) reduction once, for the first record that completes
-    A from j.
+    Step k seeds [init] at (0, 0) when k = 0 and recognizes token t from t,
+    where t = k - 1 in column order and t = k in row order (clauses 1 and
+    2).  An agenda then closes the step.  A popped record in cell (j, i)
+    1. advances over token i, if token i is already recognized (clause 2);
+    2. recognizes from j the left-hand sides it newly completes (clauses 3
+       and 4);
+    3. advances over the completions already recognized from i (clause 4).
+    In column order steps 1 and 3 find nothing: token i and the rows that
+    start at i come later.  In row order the contexts of a completion from
+    j, other than [init], end in rows below j, which read it in step 3.
+    Validation rejects epsilon rules, so only [init] lies in a cell (j, j).
 
-    `contexts` says what filters clauses 1 and 3 at a column k, fixed when
-    k closes: "each" fires once per item of k with its own filter, "union"
-    once with the union of their filters, and None fires unfiltered.
-    With `join`, a cell keeps one item per prefix and merges into it the
-    nonterminal sets of later set items; set-item codes begin with the
-    prefix node.
+    `contexts` says what filters clauses 1 and 3 at a position k, fixed
+    when column k closes: "each" fires once per item of k with its own
+    filter, "union" once with the union of their filters, and None fires
+    unfiltered.  The row order needs None, because the filter at j depends
+    on the rows above j, which are not yet built.  With `join`, a cell
+    keeps one item per prefix and merges into it the nonterminal sets of
+    later set items; set-item codes begin with the prefix node.
     """
     kind = item_kind(algo, g)
     allowed, start, advance, reducible = kind.allowed, kind.start, kind.advance, kind.reducible
     toks = g.idx.token_ids(tokens)
     n = len(toks)
     pop = _agenda(agenda_order, seed)
-    columns: list[list] = []  # per closed column: its [cell, code] records
-    filters: list = []  # per closed column k: the allowed masks for clauses 1 and 3 at k
+    ends: list[list] = [[] for _ in range(n + 1)]  # per position i: the [cell, code] records ending at i
+    done: list[dict] = [{} for _ in range(n + 1)]  # per position j: {(end, A): None} recognized from j
+    scanned: list = [None] * (n + 1)  # per position t: token t, once recognized from t
+    filters: list = [(g.idx.all_nonterminals,)] * (n + 1)  # per position k: the allowed masks at k
     steps: dict[tuple[int, ...], list] = {}  # (j, *symbols) -> clause-2 or clause-4 steps
     firings: list = []
     size = 0
-    i = 0  # the open column
-    found: dict = {}  # its records by key
-    reduced: set = set()  # its (j, A) reductions
+    found: dict = {}  # the open step's records by key
     agenda: deque = deque()
 
-    def add(j, item, clause):
+    def add(j, i, item, clause):
         nonlocal size
-        key = (j, item[0]) if join else (j, item)
+        key = (j, i, item[0]) if join else (j, i, item)
         rec = found.get(key)
         if rec is None:
             if size >= budget:
                 raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
             size += 1
             rec = found[key] = [(j, i), item]
+            ends[i].append(rec)
         else:
             if not join:
                 return
@@ -209,52 +215,59 @@ def _column_chart(g, tokens, algo, contexts, join, agenda_order, seed, budget) -
         firings.append((clause, rec[0], item))
         agenda.append(rec)
 
-    def recognized(j, xs, clause):
-        # Clause 1 or 3 starts rules, then 2 or 4 advances column j, context
-        # first; tokens share `steps` with nonterminals, as their ids differ.
+    def recognized(j, i, xs, clause):
+        # Clause 1 or 3 starts rules, then 2 or 4 advances the records
+        # ending at j, context first; tokens share `steps` with
+        # nonterminals, as their ids differ.
         for ok in filters[j]:
             for x in xs:
                 for nxt in start(x, ok):
-                    add(j, nxt, clause)
+                    add(j, i, nxt, clause)
         key = (j, *xs)
         targets = steps.get(key)
         if targets is None:
             targets = steps[key] = []
-            for ctx_cell, ctx in columns[j]:
+            for ctx_cell, ctx in ends[j]:
                 for x in xs:
                     if (nxt := advance(ctx, x)) is not None:
                         targets.append((ctx_cell[0], nxt))
         for ctx_start, nxt in targets:
-            add(ctx_start, nxt, clause + 1)
+            add(ctx_start, i, nxt, clause + 1)
 
-    for i in range(n + 1):
-        if i == 0:
-            add(0, kind.init, 0)
-        else:
-            recognized(i - 1, (toks[i - 1],), 1)
+    for k in range(n, -1, -1) if by_rows else range(n + 1):
+        if k == 0:
+            add(0, 0, kind.init, 0)
+        t = k if by_rows else k - 1
+        if 0 <= t < n:
+            scanned[t] = toks[t]
+            recognized(t, t + 1, (toks[t],), 1)
         while agenda:
-            cell, item = pop(agenda)
-            j = cell[0]
-            completes = [a_lhs for a_lhs in reducible(item) if (j, a_lhs) not in reduced]
+            (j, i), item = pop(agenda)
+            if (x := scanned[i]) is not None and (nxt := advance(item, x)) is not None:
+                add(j, i + 1, nxt, 2)
+            from_j = done[j]
+            completes = []
+            for a_lhs in reducible(item):
+                if (i, a_lhs) not in from_j:
+                    from_j[i, a_lhs] = None
+                    completes.append(a_lhs)
             if completes:
-                reduced.update((j, a_lhs) for a_lhs in completes)
-                recognized(j, completes, 3)
+                recognized(j, i, completes, 3)
+            for end, a_lhs in done[i]:
+                if (nxt := advance(item, a_lhs)) is not None:
+                    add(j, end, nxt, 4)
 
-        # A closed column keeps its records only, so `found`'s keys are freed.
-        columns.append(list(found.values()))
+        # A closed step keeps its records only, so `found`'s keys are freed.
         found.clear()
-        reduced.clear()
-        if contexts is None:
-            filters.append((g.idx.all_nonterminals,))
-        elif contexts == "each":
-            filters.append([allowed(item) for _, item in columns[i]])
-        else:
+        if contexts == "each":
+            filters[k] = [allowed(item) for _, item in ends[k]]
+        elif contexts == "union":
             union = 0
-            for _, item in columns[i]:
+            for _, item in ends[k]:
                 union |= allowed(item)
-            filters.append((union,))
+            filters[k] = (union,)
 
-    return _result(kind, g, n, (rec for col in columns for rec in col), firings)
+    return _result(kind, g, n, (rec for recs in ends for rec in recs), firings)
 
 
 def tabular_cp(
@@ -272,72 +285,17 @@ def tabular_cp(
     left-corner check, which makes every row computable independently of
     the rows above it.
     """
-    return _column_chart(g, tokens, "cp", "union" if td_filter else None, False, agenda_order, seed, budget)
+    return _chart(g, tokens, "cp", "union" if td_filter else None, False, agenda_order, seed, budget)
 
 
 def tabular_cp_unfiltered_by_rows(g: AugmentedGrammar, tokens, budget: int = DEFAULT_BUDGET) -> ChartResult:
-    """Unfiltered chart computed one row at a time, highest start first.
+    """The unfiltered chart closed one row at a time, highest start first.
 
     Without top-down filtering no cell depends on a cell with a smaller
-    start, so each row's fixpoint only ever reads rows at or above its own
-    index; the result must equal the ordinary agenda computation.  A row
-    fires each (end, A) reduction once and keeps them, in first-seen
-    order, for the rows below it to read as contexts.
+    start, so each row's fixpoint reads only the rows at or above its own
+    index; the result equals `tabular_cp(td_filter=False)`.
     """
-    kind = item_kind("cp", g)
-    start, advance, reducible = kind.start, kind.advance, kind.reducible
-    everything = g.idx.all_nonterminals
-    toks = g.idx.token_ids(tokens)
-    n = len(toks)
-    reductions: dict[int, dict] = {}  # start -> {(end, lhs): None} of a finished row
-    firings: list = []
-    size = 0
-
-    for h in range(n, -1, -1):
-        found: set = set()
-        reduced: dict = {}
-        worklist: deque = deque()
-
-        def add(i, item, clause):
-            nonlocal size
-            if (i, item) in found:
-                return
-            if size >= budget:
-                raise BudgetExhaustedError(f"chart item budget {budget} exhausted")
-            size += 1
-            found.add((i, item))
-            firings.append((clause, (h, i), item))
-            worklist.append((i, item))
-
-        if h == 0:
-            add(0, kind.init, 0)
-        if h < n:
-            for item in start(toks[h], everything):
-                add(h + 1, item, 1)
-        while worklist:
-            i, item = worklist.popleft()
-            if i < n:
-                nxt = advance(item, toks[i])
-                if nxt is not None:
-                    add(i + 1, nxt, 2)
-            for a_lhs in reducible(item):
-                if (i, a_lhs) in reduced:
-                    continue
-                reduced[(i, a_lhs)] = None
-                for nxt in start(a_lhs, everything):
-                    add(i, nxt, 3)
-                # As the reduction: the only context in its own row is the seed.
-                nxt = advance(kind.init, a_lhs) if h == 0 else None
-                if nxt is not None:
-                    add(i, nxt, 4)
-            # As the context: the reductions that start where it ends, in a finished row.
-            for end, a_lhs in reductions[i] if i > h else ():
-                nxt = advance(item, a_lhs)
-                if nxt is not None:
-                    add(end, nxt, 4)
-        reductions[h] = reduced
-
-    return _result(kind, g, n, ((cell, item) for _, cell, item in firings), firings)
+    return _chart(g, tokens, "cp", None, False, "fifo", None, budget, by_rows=True)
 
 
 ELR_VARIANTS = ("merged", "predict_sets", "naive")
@@ -366,7 +324,7 @@ def tabular_elr(
     if variant not in _ELR_SCHEDULES:
         raise ValueError(f"unknown variant {variant!r}")
     contexts, join = _ELR_SCHEDULES[variant]
-    return _column_chart(g, tokens, "elr", contexts, join, agenda_order, seed, budget)
+    return _chart(g, tokens, "elr", contexts, join, agenda_order, seed, budget)
 
 
 def predict_set(chart: Chart, g: AugmentedGrammar, i: int) -> PredictSet:

@@ -7,9 +7,9 @@ import pytest
 
 from cfrec import augment, derives, parse_grammar, sentences_up_to, viable_prefix
 from cfrec.automata import explore
-from cfrec.grammar import AugmentedGrammar
+from cfrec.grammar import AugmentedGrammar, UnknownTokenError
 from cfrec.random_grammars import random_validated_grammars
-from cfrec.tabular import duplicate_alpha_cells, tabular_cp, tabular_elr
+from cfrec.tabular import duplicate_alpha_cells, tabular_cp, tabular_cp_unfiltered_by_rows, tabular_elr
 
 REPO = Path(__file__).resolve().parents[1]
 GRAMMARS = REPO / "grammars"
@@ -25,6 +25,16 @@ AUTOMATON_ALGOS = ("lc", "plr", "elr", "pseudo_elr", "cp")
 
 def load_grammar(name: str) -> AugmentedGrammar:
     return augment(parse_grammar((GRAMMARS / name).read_text()))
+
+
+def tokens_to_symbols(g: AugmentedGrammar, tokens) -> tuple:
+    """Map token names to g's declared terminals by name, reading no compiled
+    index; an unknown name raises `UnknownTokenError`."""
+    by_name = {t.name: t for t in g.terminals}
+    for t in tokens:
+        if t not in by_name:
+            raise UnknownTokenError(t)
+    return tuple(by_name[t] for t in tokens)
 
 
 @pytest.fixture(scope="session")
@@ -156,11 +166,15 @@ def _check_one_input(report: SweepReport, name: str, g, tokens, accepted_set, vi
             report.merge_projection_mismatches.append((name, tokens, cell))
 
     # The unfiltered bare-prefix chart may only add cells, never change the
-    # verdict (sampled; it is not part of the per-input agreement set).
+    # verdict, and its row order builds the same chart (sampled; it is not
+    # part of the per-input agreement set).
     if report.inputs_checked % 25 == 0:
         unf = tabular_cp(g, tokens, td_filter=False)
         if unf.accepted != want:
             report.unfiltered_mismatches.append((name, tokens))
+        rows = tabular_cp_unfiltered_by_rows(g, tokens)
+        if (rows.chart.cells, rows.accepted, rows.items_added) != (unf.chart.cells, unf.accepted, unf.items_added):
+            report.unfiltered_mismatches.append((name, tokens, "by_rows"))
         for cell, items in cp_res.chart.cells.items():
             if not items <= unf.chart.cells.get(cell, frozenset()):
                 report.unfiltered_mismatches.append((name, tokens, cell))

@@ -12,7 +12,7 @@ from cfrec.grammar import augment
 from cfrec.random_grammars import random_validated_grammars
 from cfrec.tabular import tabular_cp, tabular_elr
 
-from conftest import load_grammar
+from conftest import load_grammar, tokens_to_symbols
 
 
 def _corner_star(rules, d, c):
@@ -46,7 +46,7 @@ def _filter_ok(rules, beta, lhs_set, a_lhs):
 
 def reference_tabular_cp(g, tokens, td_filter):
     rules = g.rules_dagger
-    toks = g.tokens_to_symbols(tokens)
+    toks = tokens_to_symbols(g, tokens)
     n = len(toks)
     cells = {(0, 0): {()}}
 
@@ -116,7 +116,7 @@ def reference_tabular_cp(g, tokens, td_filter):
 
 def reference_naive_elr(g, tokens):
     rules = g.rules_dagger
-    toks = g.tokens_to_symbols(tokens)
+    toks = tokens_to_symbols(g, tokens)
     n = len(toks)
     sp = g.start_prime
     cells = {(0, 0): {(frozenset({sp}), ())}}

@@ -13,7 +13,7 @@ from cfrec.grammar import augment, parse_grammar
 from cfrec.items import CPItem, ELRItem
 from cfrec.random_grammars import random_validated_grammars
 
-from conftest import load_grammar
+from conftest import load_grammar, tokens_to_symbols
 
 
 def _corner_star(rules, d, c):
@@ -153,7 +153,7 @@ def test_elr_successors_match_reference():
         toks_by_combo = {}
         for ln in range(4):
             for combo in itertools.product(names, repeat=ln):
-                toks_by_combo[combo] = g.tokens_to_symbols(combo)
+                toks_by_combo[combo] = tokens_to_symbols(g, combo)
         for pseudo, algo in ((False, "elr"), (True, "pseudo_elr")):
             for combo, toks in toks_by_combo.items():
                 for cfg in explore(algo, g, combo).visited:
@@ -169,7 +169,7 @@ def test_cp_successors_match_reference():
         names = sorted(t.name for t in g.terminals)
         for ln in range(4):
             for combo in itertools.product(names, repeat=ln):
-                toks = g.tokens_to_symbols(combo)
+                toks = tokens_to_symbols(g, combo)
                 for cfg in explore("cp", g, combo).visited:
                     got = successors_with_clauses("cp", g, combo, cfg)
                     assert got == _reference_cp(g, toks, cfg)

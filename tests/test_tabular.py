@@ -72,12 +72,27 @@ def test_unfiltered_acceptance_matches_oracle(g1):
 
 
 def test_row_recomputation_reproduces_unfiltered_chart(g1, overlap):
-    cases = [(g1, BAD_INPUT), (g1, ["a", "*", "a"]), (overlap, ["m", "a"])]
-    for g, tokens in cases:
+    amb = augment(parse_grammar(AMB_GRAMMAR))
+    # Long inputs make each row read many completions from finished rows.
+    g1_ops = ("*", "^", "**", "^") * 2 + ("*", "+", "**", "+") * 2
+    g1_long = ["a"] + [tok for op in g1_ops for tok in (op, "a")]
+    cases = [
+        (g1, BAD_INPUT, False),
+        (g1, ["a", "*", "a"], True),
+        (overlap, ["m", "a"], True),
+        (g1, g1_long, True),
+        (amb, "a a + a a a a + a a a + a a a a".split(), True),
+        (amb, "a a a + ".split() * 7 + ["a"] * 4, True),
+        (amb, "a + a a ".split() * 12, True),
+        (amb, "a a + a ".split() * 6 + ["+"], False),
+    ]
+    assert len(g1_long) == 33 and [len(t) for _, t, _ in cases[4:]] == [16, 32, 48, 25]
+    for g, tokens, accepted in cases:
         standard = tabular_cp(g, tokens, td_filter=False)
         by_rows = tabular_cp_unfiltered_by_rows(g, tokens)
         assert by_rows.chart.cells == standard.chart.cells
-        assert by_rows.accepted == standard.accepted
+        assert by_rows.accepted == standard.accepted == accepted
+        assert by_rows.items_added == standard.items_added
 
 
 def test_merged_elr_chart_on_valid_input(g1):
